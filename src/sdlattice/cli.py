@@ -1,8 +1,9 @@
 """Command-line interface: gen, curv, star, residual, check, solve.
 
 Exit codes: 0 on success or check pass, 1 on check failure, 2 on usage
-errors (bad flags, malformed files, metadata conflicts).  Numeric output
-uses 17 significant digits so printed values round-trip float64.
+errors (bad flags, malformed or non-finite files, metadata conflicts,
+unwritable outputs).  Numeric output uses 17 significant digits so printed
+values round-trip float64.
 """
 from __future__ import annotations
 
@@ -138,7 +139,11 @@ def cmd_residual(args) -> int:
 
 def cmd_check(args) -> int:
     kwargs = {"seed": args.seed}
-    if args.relation in ("prop1", "prop2", "13", "theorem") and args.trials:
+    if args.trials < 0:
+        raise UsageError("--trials must be >= 1 (0 keeps each check's default)")
+    if args.trials:
+        if args.relation == "star-table":
+            raise UsageError("--trials: star-table has a fixed set of 12 cases")
         kwargs["count"] = args.trials
     result = CHECKS[args.relation](**kwargs)
     for line in result.details:
@@ -162,7 +167,6 @@ def cmd_solve(args) -> int:
         tol=args.tol,
         step0=args.step0,
         backtrack=args.backtrack,
-        seed=args.seed,
         trace_every=args.trace_every,
     )
     solved, report = solve(conn, cfg)
@@ -221,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True, choices=sorted(CHECKS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=0,
-                   help="override the number of randomized cases")
+                   help="override the number of randomized cases "
+                        "(refused by star-table, which has 12 fixed cases)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="minimize the duality residual over connections")
@@ -231,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--step0", type=float, default=1.0)
     p.add_argument("--backtrack", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--trace", help="write the residual trace to this CSV file")
     p.add_argument("input")
@@ -249,10 +253,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,11 +29,7 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     """
     offsets = tuple(int(o) for o in offsets)
     if window.boundary == "periodic":
-        out = data
-        for axis, off in enumerate(offsets):
-            if off:
-                out = np.roll(out, -off, axis=axis)
-        return out if out is not data else data.copy()
+        return np.roll(data, tuple(-o for o in offsets), axis=(0, 1, 2, 3))
     if fill is None:
         out = np.zeros_like(data)
     else:
@@ -96,9 +92,6 @@ class Field:
 
     def __neg__(self) -> "Field":
         return self._like(-self.data)
-
-    def scale(self, c) -> "Field":
-        return self * c
 
     def copy(self) -> "Field":
         return self._like(self.data.copy())

@@ -25,29 +25,34 @@ from .cochain import (
 from .lattice import Window
 
 
+def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) -> np.ndarray:
+    """The curvature expression for plane (i, j), every read offset by `base`:
+
+        Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j)
+
+    Offsets compose on Z^4 before the boundary mode resolves them, matching
+    the printed composite subscripts (e.g. A^4 at sigma_34 k + e_3 reads at
+    sigma_4 k); `base=0` gives the F^{ij} slot of `curvature`.
+    """
+    w = conn.window
+    ai, aj = conn.component(i), conn.component(j)
+    if any(base):
+        ai, aj = shifted_read(ai, w, base), shifted_read(aj, w, base)
+    up_i, up_j = list(base), list(base)
+    up_i[i - 1] += 1
+    up_j[j - 1] += 1
+    aj_up_i = shifted_read(conn.component(j), w, up_i)
+    ai_up_j = shifted_read(conn.component(i), w, up_j)
+    return (aj_up_i - aj) - (ai_up_j - ai) + ai @ aj_up_i - aj @ ai_up_j
+
+
 def curvature(conn: ConnectionField) -> CurvatureField:
     """Curvature 2-cochain of a connection, same window and boundary mode."""
-    w = conn.window
     # product terms leave su(2)/sl(2,C), so curvature values are general
-    out = CurvatureField.zeros(w, algebra="general")
+    out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
-    comps = {i: conn.component(i) for i in (1, 2, 3, 4)}
-    ups = {}
-    for i in (1, 2, 3, 4):
-        for j in (1, 2, 3, 4):
-            if i == j:
-                continue
-            offsets = [0, 0, 0, 0]
-            offsets[i - 1] = 1
-            # A^j read at tau_i-shifted sites
-            ups[(i, j)] = shifted_read(comps[j], w, offsets)
     for i, j in PLANES:
-        out.plane(i, j)[...] = (
-            (ups[(i, j)] - comps[j])
-            - (ups[(j, i)] - comps[i])
-            + comps[i] @ ups[(i, j)]
-            - comps[j] @ ups[(j, i)]
-        )
+        out.plane(i, j)[...] = plane_curvature(conn, i, j)
     return out
 
 
@@ -175,13 +180,6 @@ def diag_invariant_slice(window: Window, seed, scale: float = 1.0, kind: str = "
             seen[cursor] = True
             out[cursor] = value
             cursor = tuple((c + 1) % n for c, n in zip(cursor, window.dims))
-    return out
-
-
-def constant_slice(window: Window, matrix) -> np.ndarray:
-    """Site-independent slice (trivially diagonal-shift invariant)."""
-    out = np.empty(window.dims + (2, 2), dtype=complex)
-    out[...] = np.asarray(matrix, dtype=complex)
     return out
 
 

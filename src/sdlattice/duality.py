@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import (
-    PLANES,
-    ConnectionField,
-    CurvatureField,
-    diagonal_shift,
-    max_entry,
-    shifted_read,
-)
+from .cochain import PLANES, ConnectionField, CurvatureField, diagonal_shift, max_entry
+from .curvature import plane_curvature
 from .hodge import METRICS, complement_plane, star, star_table
-from .lattice import Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
 
@@ -69,29 +62,6 @@ def scalar_residual(field: CurvatureField, problem: DualityProblem) -> float:
     return float(np.linalg.norm(residual(field, problem).data))
 
 
-def _plane_expression(conn: ConnectionField, i: int, j: int, base) -> np.ndarray:
-    """The curvature-type expression for plane (i, j) at base-shifted sites:
-
-        Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j)
-
-    with every read offset by `base`.  Offsets compose on Z^4 before the
-    boundary mode resolves them, matching the printed composite subscripts
-    (e.g. A^4 at sigma_34 k + e_3 reads at sigma_4 k).
-    """
-    w = conn.window
-
-    def read(axis, extra=None):
-        off = list(base)
-        if extra is not None:
-            off[extra - 1] += 1
-        return shifted_read(conn.component(axis), w, off)
-
-    ai, aj = read(i), read(j)
-    aj_up_i = read(j, extra=i)
-    ai_up_j = read(i, extra=j)
-    return (aj_up_i - aj) - (ai_up_j - ai) + ai @ aj_up_i - aj @ ai_up_j
-
-
 def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> CurvatureField:
     """Evaluate the six long difference equations directly in terms of A.
 
@@ -111,8 +81,8 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
         base_src = [0, 0, 0, 0]
         base_src[source[0] - 1] = -1
         base_src[source[1] - 1] = -1
-        own = _plane_expression(conn, *plane, base=(0, 0, 0, 0))
-        other = sign * _plane_expression(conn, *source, base=base_src)
+        own = plane_curvature(conn, *plane)
+        other = sign * plane_curvature(conn, *source, base=base_src)
         if problem.metric == "euclid":
             slot = own + other if asd else own - other
         else:
@@ -146,8 +116,8 @@ def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> Relat
         raise ValueError("difference-form check requires a periodic window")
     violation = 0.0
     for plane in PLANES:
-        lhs = _plane_expression(conn, *plane, base=(0, 0, 0, 0))
-        rhs = _plane_expression(conn, *plane, base=(-1, -1, -1, -1))
+        lhs = plane_curvature(conn, *plane)
+        rhs = plane_curvature(conn, *plane, base=(-1, -1, -1, -1))
         violation = max(violation, float(np.max(np.abs(lhs - rhs))))
     return RelationReport(holds=violation <= tol, max_violation=violation)
 

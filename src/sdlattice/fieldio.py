@@ -21,7 +21,6 @@ round-trip decimal).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -76,18 +75,20 @@ def load(path) -> Field:
         raise FieldFormatError("document root must be a JSON object")
 
     version = _require(doc, "format_version")
+    if isinstance(version, bool):
+        raise FieldFormatError(f"format_version must be an integer, got {version!r}")
     if version != FORMAT_VERSION:
         raise FieldVersionError(
             f"format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )
     rank = _require(doc, "rank")
-    if rank not in _RANK_TO_CLASS:
+    if not _is_int(rank) or rank not in _RANK_TO_CLASS:
         raise FieldFormatError(f"rank must be 0, 1 or 2, got {rank!r}")
     dims = _require(doc, "dims")
     if (
         not isinstance(dims, list)
         or len(dims) != 4
-        or not all(isinstance(n, int) and n > 0 for n in dims)
+        or not all(_is_int(n) and n > 0 for n in dims)
     ):
         raise FieldFormatError(f"dims must be four positive integers, got {dims!r}")
     boundary = _require(doc, "boundary")
@@ -119,6 +120,8 @@ def load(path) -> Field:
         raise FieldFormatError(f"data entries must be numeric pairs: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise FieldFormatError("data entries must be [re, im] pairs")
+    if not np.all(np.isfinite(pairs)):
+        raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     values = pairs[:, 0] + 1j * pairs[:, 1]
     shape = tuple(dims) + ((cls.slots, 2, 2) if cls.slots else (2, 2))
     window = Window(tuple(dims), boundary)
@@ -126,15 +129,13 @@ def load(path) -> Field:
     return field
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which subclasses int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise FieldFormatError(f"missing metadata key {key!r}")
     return doc[key]
 
-
-def load_rank(path, rank: int) -> Field:
-    """Load and insist on a specific cochain rank."""
-    field = load(Path(path))
-    if field.rank != rank:
-        raise FieldIOError(f"expected a rank-{rank} field, got rank {field.rank}: {path}")
-    return field

@@ -117,8 +117,3 @@ class Window:
         except ValueError as exc:
             raise ValueError(f"dims must be integers, got {dims_text!r}") from exc
         return cls(dims, boundary)
-
-
-def wrap(k: Index, window: Window) -> Optional[Index]:
-    """Module-level alias for Window.wrap."""
-    return window.wrap(k)

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BASIS, dagger, from_coefficients
-from .cochain import PLANES, ConnectionField, CurvatureField, shifted_read
+from .cochain import PLANES, ConnectionField, diagonal_shift, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
-from .hodge import complement_plane, star_table
+from .hodge import star
 from .lattice import Window
 
 
@@ -45,7 +45,6 @@ class SolveConfig:
     tol: float = 1e-8
     step0: float = 1.0
     backtrack: float = 0.5
-    seed: int = 0
     trace_every: int = 1
 
     def __post_init__(self):
@@ -128,37 +127,24 @@ def _require_periodic(window: Window) -> None:
         raise ValueError("solver operations require a periodic window")
 
 
-def _star_adjoint(data: np.ndarray, window: Window, metric: str) -> np.ndarray:
-    """Adjoint of the star permutation under the real entrywise inner product:
-    (S^T Y)^p_k = sign(p) * Y^{complement(p)}_{tau_p k}.
-    """
-    table = star_table(metric)
-    out = np.empty_like(data)
-    for plane in PLANES:
-        target = complement_plane(plane)
-        offsets = [0, 0, 0, 0]
-        offsets[plane[0] - 1] = 1
-        offsets[plane[1] - 1] = 1
-        src = data[..., PLANES.index(target), :, :]
-        out[..., PLANES.index(plane), :, :] = table.sign(plane) * shifted_read(
-            src, window, offsets
-        )
-    return out
-
-
 def _gradient_matrices(conn: ConnectionField, problem: DualityProblem) -> np.ndarray:
     """dR as 2x2 matrices per (site, axis): dR = Re sum conj(G) dA entrywise."""
     _require_periodic(conn.window)
     w = conn.window
-    res = residual(curvature(conn), problem).data
-    # Adjoint of the residual operator applied to the residual itself.
+    res = residual(curvature(conn), problem)
+    # Adjoint of the residual operator applied to the residual itself.  The
+    # star S is a signed permutation, so S^T = S^-1, and the double-star
+    # identities give S^-1 = +tau S (euclid) and -tau S (mink), with tau the
+    # diagonal up-shift.  Each adjoint is one expression, ordered so that no
+    # other full-size temporary is alive while the star is taken and numpy
+    # reuses the temporaries' buffers.
     if problem.metric == "euclid":
         sign = -1.0 if problem.orientation == "self_dual" else 1.0
-        g_f = 2.0 * (res + sign * _star_adjoint(res, w, "euclid"))
+        g_f = 2.0 * (res.data + sign * diagonal_shift(star(res, "euclid"), "up").data)
     else:
         # res = S F -+ iF; adjoint of (+-i .) is (-+i .)
         sign = 1.0j if problem.orientation == "self_dual" else -1.0j
-        g_f = 2.0 * (_star_adjoint(res, w, "mink") + sign * res)
+        g_f = 2.0 * (-diagonal_shift(star(res, "mink"), "up").data + sign * res.data)
 
     comps = {i: conn.component(i) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.data)

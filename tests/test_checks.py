@@ -7,6 +7,7 @@ from sdlattice.checks import (
     CheckResult,
     check_path_equivalence,
     check_prop1,
+    check_relation_13,
     check_star_table,
     check_theorem,
     compact_nonzero_field,
@@ -54,6 +55,17 @@ def test_path_equivalence_reports_each_case():
     result = check_path_equivalence(seed=0, count=4)
     assert result.ok
     assert all("ok" in line for line in result.details)
+
+
+def test_relation_13_impulse_control_needs_two_sites():
+    # on one site every field is diagonal-invariant, so the control is n/a
+    result = check_relation_13(seed=0, dims=(1, 1, 1, 1), count=4)
+    assert result.ok, result.details
+    assert len(result.details) == 5
+    assert result.details[-1] == "single impulse fails: n/a (one-site window)"
+    result = check_relation_13(seed=0, dims=(1, 1, 1, 2), count=4)
+    assert result.ok, result.details
+    assert result.details[-1] == "single impulse fails: ok"
 
 
 def test_compact_nonzero_field_support_and_content():

@@ -153,6 +153,24 @@ def test_check_trials_override(capsys):
     assert "check 13: PASS" in out
 
 
+def test_check_trials_reaches_path_equivalence(capsys):
+    code, out, _ = run(capsys, "check", "--relation", "path-equivalence",
+                       "--trials", "1")
+    assert code == 0
+    # one case per window size and algebra, then the verdict
+    assert len(out.strip().splitlines()) == 2 * 2 * 1 + 1
+
+
+def test_check_trials_refused_where_it_cannot_apply(capsys):
+    code, out, err = run(capsys, "check", "--relation", "star-table", "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert "star-table" in err
+    code, _, err = run(capsys, "check", "--relation", "prop1", "--trials", "-1")
+    assert code == 2
+    assert "--trials" in err
+
+
 def test_check_is_deterministic(capsys):
     a = run(capsys, "check", "--relation", "star-table")
     b = run(capsys, "check", "--relation", "star-table")
@@ -204,6 +222,57 @@ def test_solve_rejects_zero_boundary_and_general_algebra(tmp_path, capsys):
                        str(pg), "-o", str(tmp_path / "s.field"))
     assert code == 2
     assert "algebra" in err
+
+
+def test_solve_has_no_seed_flag(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
+        "-o", str(a))
+    code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                       "--seed", "0", str(a), "-o", str(tmp_path / "s.field"))
+    assert code == 2
+    assert "--seed" in err
+
+
+def test_non_finite_and_boolean_metadata_files_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
+        "-o", str(a))
+    good = json.loads(a.read_text())
+    mutations = [("data", 0, [float("nan"), 0.0]), ("data", 1, [0.0, float("inf")]),
+                 ("rank", None, True), ("dims", None, [True, 2, 2, 2])]
+    for key, index, value in mutations:
+        doc = json.loads(json.dumps(good))
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        bad = tmp_path / "bad.field"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "residual", "--metric", "euclid", "--dual", "sd",
+                           str(bad))
+        assert code == 2, (key, value)
+        assert err.startswith("error: ")
+        code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                           str(bad), "-o", str(tmp_path / "s.field"))
+        assert code == 2, (key, value)
+        assert err.startswith("error: ")
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, "gen", "--kind", "zero", "--dims", "2,2,2,2",
+                       "-o", str(missing / "a.field"))
+    assert code == 2
+    assert err.startswith("error: ")
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
+        "-o", str(a))
+    code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                       "--max-iter", "2", "--trace", str(missing / "t.csv"), str(a),
+                       "-o", str(tmp_path / "s.field"))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):

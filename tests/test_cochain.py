@@ -68,7 +68,7 @@ def test_field_algebra_ops():
     assert np.array_equal((f + g).data, f.data + g.data)
     assert np.array_equal((f - g).data, (f + (-1) * g).data)
     assert np.array_equal((-f).data, -f.data)
-    assert np.array_equal(f.scale(2.5).data, 2.5 * f.data)
+    assert np.array_equal((f * 2.5).data, 2.5 * f.data)
 
 
 def test_field_mismatch_errors():

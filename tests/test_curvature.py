@@ -14,7 +14,6 @@ from sdlattice.algebra import (
 from sdlattice.cochain import PLANES, ConnectionField, GaugeField
 from sdlattice.curvature import (
     constant_connection,
-    constant_slice,
     curvature,
     diag_invariant_slice,
     pure_gauge,
@@ -231,14 +230,14 @@ def test_diag_invariant_slice_is_invariant_bitwise():
 
 def test_synthetic_constant_generator_euclid():
     w = Window((3, 3, 3, 3), "periodic")
-    f = synthetic_dual_curvature(constant_slice(w, basis(3)), "euclid", w)
+    f = synthetic_dual_curvature(np.broadcast_to(basis(3), w.dims + (2, 2)), "euclid", w)
     for k in w.sites():
         assert np.array_equal(f.at(k, 1, 2), basis(3))
         assert np.array_equal(f.at(k, 3, 4), basis(3))
     for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
         assert not np.any(f.plane(i, j))
     g = synthetic_dual_curvature(
-        constant_slice(w, basis(3)), "euclid", w, orientation="anti_self_dual"
+        np.broadcast_to(basis(3), w.dims + (2, 2)), "euclid", w, orientation="anti_self_dual"
     )
     assert np.array_equal(g.plane(3, 4), -f.plane(3, 4))
 
@@ -246,10 +245,12 @@ def test_synthetic_constant_generator_euclid():
 def test_synthetic_constant_generator_mink():
     w = Window((3, 3, 3, 3), "periodic")
     m = basis(1) + 1j * basis(2)
-    f = synthetic_dual_curvature(constant_slice(w, m), "mink", w)
+    f = synthetic_dual_curvature(np.broadcast_to(m, w.dims + (2, 2)), "mink", w)
     for k in w.sites():
         assert np.array_equal(f.at(k, 3, 4), 1j * m)
-    g = synthetic_dual_curvature(constant_slice(w, m), "mink", w, orientation="anti_self_dual")
+    g = synthetic_dual_curvature(
+        np.broadcast_to(m, w.dims + (2, 2)), "mink", w, orientation="anti_self_dual"
+    )
     assert np.array_equal(g.plane(3, 4), -f.plane(3, 4))
 
 
@@ -272,7 +273,7 @@ def test_synthetic_zero_generator_gives_zero_field():
 
 def test_synthetic_validation_errors():
     w = Window((3, 3, 3, 3), "periodic")
-    good = constant_slice(w, basis(1))
+    good = np.broadcast_to(basis(1), w.dims + (2, 2))
     with pytest.raises(ValueError):
         synthetic_dual_curvature(good, "euclid", Window((3, 3, 3, 3), "zero"))
     with pytest.raises(ValueError):

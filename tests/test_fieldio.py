@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
+from sdlattice.cochain import ConnectionField, CurvatureField
 from sdlattice.curvature import random_connection, random_curvature, random_gauge
 from sdlattice.fieldio import (
     FORMAT_VERSION,
@@ -14,7 +14,6 @@ from sdlattice.fieldio import (
     FieldShapeError,
     FieldVersionError,
     load,
-    load_rank,
     save,
 )
 from sdlattice.lattice import Window
@@ -121,6 +120,23 @@ def test_bad_metadata_values(tmp_path):
             load(_write(tmp_path, doc))
 
 
+def test_boolean_metadata_rejected(tmp_path):
+    # JSON true decodes to a bool, which Python treats as the integer 1
+    for key, value in (("format_version", True), ("rank", True), ("dims", [True, 2, 2, 2])):
+        doc = _doc(tmp_path)
+        doc[key] = value
+        with pytest.raises(FieldFormatError, match=key):
+            load(_write(tmp_path, doc))
+
+
+def test_non_finite_data_rejected(tmp_path):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        doc = _doc(tmp_path)
+        doc["data"][5] = [0.25, value]
+        with pytest.raises(FieldFormatError, match="finite"):
+            load(_write(tmp_path, doc))
+
+
 def test_non_numeric_data_rejected(tmp_path):
     doc = _doc(tmp_path)
     doc["data"][0] = ["x", "y"]
@@ -146,15 +162,6 @@ def test_error_hierarchy():
     assert issubclass(FieldFormatError, FieldIOError)
     assert issubclass(FieldVersionError, FieldIOError)
     assert issubclass(FieldShapeError, FieldIOError)
-
-
-def test_load_rank_checks_rank(tmp_path):
-    w = Window((2, 2, 2, 2))
-    path = tmp_path / "g.field"
-    save(GaugeField.identity(w), path)
-    assert load_rank(path, 0).rank == 0
-    with pytest.raises(FieldIOError):
-        load_rank(path, 2)
 
 
 def test_round_trip_extreme_values(tmp_path):

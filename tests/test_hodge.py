@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sdlattice.algebra import basis
-from sdlattice.cochain import PLANES, CurvatureField, field_norm, shifted_read
+from sdlattice.cochain import PLANES, CurvatureField, diagonal_shift, field_norm, shifted_read
 from sdlattice.curvature import (
-    constant_slice,
     diag_invariant_slice,
     random_curvature,
     synthetic_dual_curvature,
@@ -184,6 +183,20 @@ def test_double_star_fixes_synthetic_dual_fields():
             diag_invariant_slice(w, seed=5, kind="sl2c"), "mink", w, orientation
         )
         assert np.array_equal(double_star(fm, "mink").data, -fm.data)
+
+
+def test_star_adjoint_is_signed_diagonal_up_shift_of_star():
+    # <*X, Y> = <X, s tau(*Y)> under Re sum conj(a) b, s = +1 (euclid) or
+    # -1 (mink): the star's adjoint as the solver's gradient applies it
+    for dims in ((2, 3, 4, 5), (1, 2, 3, 5)):
+        w = Window(dims, "periodic")
+        x = random_curvature(w, seed=4)
+        y = random_curvature(w, seed=5)
+        for metric, s in (("euclid", 1.0), ("mink", -1.0)):
+            lhs = np.vdot(star(x, metric).data, y.data).real
+            rhs = np.vdot(x.data, s * diagonal_shift(star(y, metric), "up").data).real
+            assert abs(lhs) > 1.0  # so that a wrong sign s would fail
+            assert rhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
 
 
 def test_star_zero_boundary_reads_outside_as_zero():

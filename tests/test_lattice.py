@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sdlattice.lattice import Window, shift_diag, shift_down, shift_pair, shift_up, wrap
+from sdlattice.lattice import Window, shift_diag, shift_down, shift_pair, shift_up
 
 
 def test_shift_up_examples():
@@ -55,11 +55,11 @@ def test_invalid_axis_and_direction():
 def test_wrap_examples():
     periodic = Window((4, 4, 4, 4), "periodic")
     zero = Window((4, 4, 4, 4), "zero")
-    assert wrap((4, 0, 0, 0), periodic) == (0, 0, 0, 0)
-    assert wrap((4, 0, 0, 0), zero) is None
-    assert wrap((3, 3, 3, 3), periodic) == (3, 3, 3, 3)
-    assert wrap((-1, 0, 0, 0), periodic) == (3, 0, 0, 0)
-    assert wrap((0, 0, 0, 0), zero) == (0, 0, 0, 0)
+    assert periodic.wrap((4, 0, 0, 0)) == (0, 0, 0, 0)
+    assert zero.wrap((4, 0, 0, 0)) is None
+    assert periodic.wrap((3, 3, 3, 3)) == (3, 3, 3, 3)
+    assert periodic.wrap((-1, 0, 0, 0)) == (3, 0, 0, 0)
+    assert zero.wrap((0, 0, 0, 0)) == (0, 0, 0, 0)
 
 
 def test_periodic_shifts_are_bijections():
