@@ -171,16 +171,18 @@ def cmd_solve(args) -> int:
     )
     solved, report = solve(conn, cfg)
     solved.metric = args.metric
-    save(solved, args.output)
+    # The trace goes first, so an unwritable trace path leaves no output field.
     if args.trace:
         with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "residual", "step"])
             for it, res_norm, step in report.residual_trace:
                 writer.writerow([it, _fmt(res_norm), _fmt(step)])
+    save(solved, args.output)
     print(f"converged {str(report.converged).lower()}")
     print(f"iterations {report.iterations}")
     print(f"final_residual {_fmt(report.final_residual)}")
+    print(f"stop_reason {report.stop_reason}")
     return 0
 
 
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, FieldIOError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

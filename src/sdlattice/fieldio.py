@@ -16,7 +16,9 @@ Data entries are float-64 pairs in canonical order: sites row-major over
 (k1, k2, k3, k4), then the component axis (rank 1) or the canonical plane
 order 12, 13, 14, 23, 24, 34 (rank 2), then row-major 2x2 matrix entries.
 Round-trips are bitwise exact (Python's JSON float text is shortest
-round-trip decimal).
+round-trip decimal).  Data must be finite numbers: JSON has no NaN or
+Infinity, so `save` refuses such fields, and `load` refuses non-finite or
+boolean data entries.
 """
 from __future__ import annotations
 
@@ -50,6 +52,9 @@ class FieldShapeError(FieldIOError):
 
 
 def save(field: Field, path) -> None:
+    # Checked before the file is opened, so a refused save leaves no file.
+    if not np.all(np.isfinite(field.data)):
+        raise FieldFormatError("cannot save non-finite data (NaN or Infinity)")
     flat = field.data.reshape(-1)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -122,6 +127,10 @@ def load(path) -> Field:
         raise FieldFormatError("data entries must be [re, im] pairs")
     if not np.all(np.isfinite(pairs)):
         raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
+    # JSON true/false convert to 1.0/0.0, so only those entries need a look.
+    suspects = np.flatnonzero(((pairs == 0.0) | (pairs == 1.0)).any(axis=1)).tolist()
+    if any(type(x) is bool for i in suspects for x in raw[i]):
+        raise FieldFormatError("data entries must be numbers, not booleans")
     values = pairs[:, 0] + 1j * pairs[:, 1]
     shape = tuple(dims) + ((cls.slots, 2, 2) if cls.slots else (2, 2))
     window = Window(tuple(dims), boundary)

@@ -193,6 +193,8 @@ def test_solve_pipeline_with_trace(tmp_path, capsys):
     assert lines[1].startswith("iterations ")
     assert lines[2].startswith("final_residual ")
     assert float(lines[2].split()[1]) <= 1e-8
+    assert lines[3] == "stop_reason converged"
+    assert len(lines) == 4
 
     solved = load(out_field)
     assert solved.rank == 1
@@ -273,6 +275,31 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
                        "-o", str(tmp_path / "s.field"))
     assert code == 2
     assert err.startswith("error: ")
+    assert not (tmp_path / "s.field").exists()
+
+
+def test_solve_reports_stop_reason_at_max_iter(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.5",
+        "-o", str(a))
+    code, out, _ = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                       "--max-iter", "1", "--tol", "1e-300", str(a),
+                       "-o", str(tmp_path / "s.field"))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[:2] == ["converged false", "iterations 1"]
+    assert lines[2].startswith("final_residual ")
+    assert lines[3] == "stop_reason max_iter"
+
+
+def test_gen_non_finite_field_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "nan.field"
+    code, _, err = run(capsys, "gen", "--kind", "constant", "--algebra", "sl2c",
+                       "--matrix", "0,0,nan,0,0,0,0,0", "--dims", "1,1,1,1",
+                       "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):

@@ -137,6 +137,29 @@ def test_non_finite_data_rejected(tmp_path):
             load(_write(tmp_path, doc))
 
 
+def test_save_refuses_non_finite_data(tmp_path):
+    # JSON has no NaN or Infinity: load would refuse what save wrote
+    for value in (float("nan"), float("inf")):
+        f = ConnectionField.zeros(Window((1, 1, 1, 1)))
+        f.data[0, 0, 0, 0, 2, 1, 0] = value
+        path = tmp_path / "bad.field"
+        with pytest.raises(FieldFormatError, match="non-finite"):
+            save(f, path)
+        assert not path.exists()
+
+
+def test_boolean_data_entries_rejected(tmp_path):
+    # JSON true/false would otherwise load as 1.0/0.0
+    for pair in ([True, False], [0.5, True], [False, 0.25]):
+        doc = _doc(tmp_path)
+        doc["data"][3] = pair
+        with pytest.raises(FieldFormatError, match="boolean"):
+            load(_write(tmp_path, doc))
+    doc = _doc(tmp_path)
+    doc["data"][3] = [1.0, 0.0]
+    assert load(_write(tmp_path, doc)).data.reshape(-1)[3] == 1.0
+
+
 def test_non_numeric_data_rejected(tmp_path):
     doc = _doc(tmp_path)
     doc["data"][0] = ["x", "y"]

@@ -7,6 +7,7 @@ from sdlattice.algebra import basis, is_sl2c, is_su2
 from sdlattice.cochain import ConnectionField
 from sdlattice.curvature import constant_connection, curvature, random_connection
 from sdlattice.duality import DualityProblem, residual, scalar_residual
+from sdlattice import solver
 from sdlattice.lattice import Window
 from sdlattice.solver import (
     SolveConfig,
@@ -165,6 +166,7 @@ def test_solve_flat_start_returns_immediately():
     assert report.iterations == 0
     assert report.final_residual == 0.0
     assert report.residual_trace == [(0, 0.0, 0.0)]
+    assert report.stop_reason == "converged"
     assert not np.any(out.data)
 
 
@@ -230,4 +232,59 @@ def test_solve_max_iter_is_respected():
     _, report = solve(a0, cfg)
     assert not report.converged
     assert report.iterations <= 3
+    assert report.stop_reason == "max_iter"
     assert isinstance(report, SolveReport)
+
+
+@pytest.mark.parametrize(
+    "kind, problem, dims",
+    [("su2", EUCLID_SD, (3, 3, 3, 3)),
+     ("sl2c", DualityProblem("mink", "self_dual"), (2, 2, 2, 2)),
+     ("sl2c", DualityProblem("mink", "anti_self_dual"), (3, 2, 2, 1))],
+)
+def test_solve_converges_in_few_iterations(kind, problem, dims):
+    # Barzilai-Borwein descent needed 147 (3^4) and 1 469 (2^4) iterations
+    a0 = random_connection(Window(dims, "periodic"), kind, seed=0, scale=1e-2)
+    out, report = solve(a0, SolveConfig(problem, max_iter=10000, tol=1e-8))
+    assert report.converged
+    assert report.stop_reason == "converged"
+    assert report.iterations <= 100
+    assert objective(out, problem) <= 1e-8
+
+
+def test_solve_stops_on_step_underflow():
+    # every trial step overshoots to a non-finite objective
+    w = Window((2, 2, 2, 2), "periodic")
+    a0 = random_connection(w, "su2", seed=0, scale=0.1)
+    cfg = SolveConfig(EUCLID_SD, step0=1e300, backtrack=0.1)
+    with np.errstate(all="ignore"):
+        out, report = solve(a0, cfg)
+    assert report.stop_reason == "step_underflow"
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.final_residual == objective(a0, EUCLID_SD)
+    assert np.array_equal(out.data, connection_from_coefficients(
+        connection_coefficients(a0), w, "su2").data)
+
+
+def test_solve_stops_at_a_stationary_point(monkeypatch):
+    w = Window((2, 2, 2, 2), "periodic")
+    a0 = random_connection(w, "su2", seed=0, scale=0.1)
+    monkeypatch.setattr(solver, "_gradient_matrices",
+                        lambda conn, problem, res=None: np.zeros_like(conn.data))
+    _, report = solve(a0, SolveConfig(EUCLID_SD))
+    assert report.stop_reason == "stationary"
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.final_residual > 0.0
+
+
+@pytest.mark.parametrize("kind, problem", [("su2", EUCLID_SD),
+                                           ("sl2c", DualityProblem("mink", "self_dual"))])
+def test_fused_gradient_is_bitwise_the_public_gradient(kind, problem):
+    # solve takes the gradient from the residual its line search computed
+    a = random_connection(Window((3, 2, 2, 2), "periodic"), kind, seed=5, scale=0.3)
+    obj, res = solver._objective_and_residual(a, problem)
+    fused = solver._coefficient_gradient(solver._gradient_matrices(a, problem, res), kind)
+    assert obj == objective(a, problem)
+    assert np.array_equal(fused, gradient_coefficients(a, problem))
