@@ -3,36 +3,20 @@
 Matrix-valued cochains on finite 4-dimensional windows, the shifted
 difference curvature of a connection, a combinatorial Hodge star in
 Euclidean and Minkowski signatures, exact duality identity checks, and a
-gradient-descent solver for the duality residual.
+quasi-Newton solver for the duality residual.
+
+The package namespace holds what the CLI, the identity checks and the
+library tour in the README use; everything else stays in its module.
 """
 from __future__ import annotations
 
-from .algebra import (
-    BASIS,
-    PAULI,
-    basis,
-    commutator,
-    dagger,
-    frobenius_norm,
-    from_coefficients,
-    is_sl2c,
-    is_su2,
-    random_algebra,
-    random_group,
-    sl2c_coefficients,
-    su2_coefficients,
-    trace_inner,
-)
+from .algebra import is_sl2c, is_su2, random_algebra
 from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
-    Field,
     GaugeField,
-    delta,
-    delta_field,
     diagonal_shift,
-    field_norm,
     max_entry,
     shifted_read,
 )
@@ -42,77 +26,41 @@ from .curvature import (
     diag_invariant_slice,
     pure_gauge,
     random_connection,
-    random_curvature,
     random_gauge,
-    synthetic_dual_curvature,
     zero_connection,
 )
 from .duality import (
     CONSISTENT,
-    NONZERO_CONTRADICTION,
-    VIOLATES_DUALITY,
-    VIOLATES_SUPPORT,
     DualityProblem,
-    RelationReport,
     check_diagonal_relation,
-    check_difference_form_13,
     residual,
     residual_componentwise,
     scalar_residual,
+    synthetic_dual_curvature,
     verify_triviality_theorem,
 )
-from .fieldio import (
-    FieldFormatError,
-    FieldIOError,
-    FieldShapeError,
-    FieldVersionError,
-    load,
-    save,
-)
-from .hodge import EUCLID_TABLE, MINK_TABLE, StarTable, double_star, star, star_table
-from .lattice import AXES, Window, shift_diag, shift_down, shift_pair, shift_up
-from .solver import SolveConfig, SolveReport, objective, solve
+from .fieldio import FieldIOError, load, save
+from .hodge import double_star, star
+from .lattice import Window
+from .solver import SolveConfig, gradient_coefficients, objective, solve
 
 __all__ = [
-    "AXES",
-    "BASIS",
     "CONSISTENT",
     "ConnectionField",
     "CurvatureField",
     "DualityProblem",
-    "EUCLID_TABLE",
-    "Field",
-    "FieldFormatError",
     "FieldIOError",
-    "FieldShapeError",
-    "FieldVersionError",
     "GaugeField",
-    "MINK_TABLE",
-    "NONZERO_CONTRADICTION",
-    "PAULI",
     "PLANES",
-    "RelationReport",
     "SolveConfig",
-    "SolveReport",
-    "StarTable",
-    "VIOLATES_DUALITY",
-    "VIOLATES_SUPPORT",
     "Window",
-    "basis",
     "check_diagonal_relation",
-    "check_difference_form_13",
-    "commutator",
     "constant_connection",
     "curvature",
-    "dagger",
-    "delta",
-    "delta_field",
     "diag_invariant_slice",
     "diagonal_shift",
     "double_star",
-    "field_norm",
-    "frobenius_norm",
-    "from_coefficients",
+    "gradient_coefficients",
     "is_sl2c",
     "is_su2",
     "load",
@@ -121,25 +69,15 @@ __all__ = [
     "pure_gauge",
     "random_algebra",
     "random_connection",
-    "random_curvature",
     "random_gauge",
-    "random_group",
     "residual",
     "residual_componentwise",
     "save",
     "scalar_residual",
-    "shift_diag",
-    "shift_down",
-    "shift_pair",
-    "shift_up",
     "shifted_read",
-    "sl2c_coefficients",
     "solve",
     "star",
-    "star_table",
-    "su2_coefficients",
     "synthetic_dual_curvature",
-    "trace_inner",
     "verify_triviality_theorem",
     "zero_connection",
 ]

@@ -1,11 +1,14 @@
 """2x2 complex matrix arithmetic for su(2), sl(2,C) and their groups.
 
-Matrices are plain ``(2, 2)`` complex numpy arrays.  The Lie algebra basis
-is ``l_a = -(i/2) * sigma_a`` (``sigma_a`` the Pauli matrices), normalized
-so that ``[l_1, l_2] = l_3`` and cyclic permutations.  With this choice the
-basis is orthogonal under ``<X, Y> = tr(X^dag Y)`` with ``<l_a, l_a> = 1/2``.
+Matrices are plain ``(2, 2)`` complex numpy arrays, or stacks of them over
+leading axes.  The Lie algebra basis is ``l_a = -(i/2) * sigma_a``
+(``sigma_a`` the Pauli matrices), normalized so that ``[l_1, l_2] = l_3``
+and cyclic permutations.  With this choice the basis is orthogonal under
+``<X, Y> = tr(X^dag Y)`` with ``<l_a, l_a> = 1/2``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,44 +36,32 @@ def identity() -> np.ndarray:
     return np.eye(2, dtype=complex)
 
 
-def zero() -> np.ndarray:
-    return np.zeros((2, 2), dtype=complex)
-
-
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose, batched over leading axes."""
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
-
-
-def frobenius_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(x) ** 2)))
-
-
-def trace_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Inner product tr(x^dag y)."""
-    return complex(np.trace(dagger(x) @ y))
+def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """err <= tol * max(1, largest entry magnitude), matrix by matrix."""
+    return bool(np.all(err <= tol * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))))
 
 
 def is_su2(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x is anti-Hermitian and traceless to within tol."""
-    return (
-        np.max(np.abs(x + dagger(x))) <= tol
-        and abs(np.trace(x)) <= tol
-    )
+    """True iff every matrix of x is anti-Hermitian and traceless to within
+    tol, relative to its largest entry once that exceeds 1."""
+    x = np.asarray(x)
+    return is_sl2c(x, tol) and _negligible(np.max(np.abs(x + dagger(x)), axis=(-2, -1)), x, tol)
 
 
 def is_sl2c(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x is traceless to within tol."""
-    return abs(np.trace(x)) <= tol
+    """True iff every matrix of x is traceless to within tol, relative to its
+    largest entry once that exceeds 1."""
+    x = np.asarray(x)
+    return _negligible(np.abs(np.trace(x, axis1=-2, axis2=-1)), x, tol)
 
 
-def su2_coefficients(x: np.ndarray) -> np.ndarray:
-    """Real coefficients c with x = sum_a c_a l_a (valid for x in su(2))."""
-    return 2.0 * np.einsum("aij,...ij->...a", BASIS.conj(), x).real
+# Membership test per algebra kind.
+MEMBERSHIP = {"su2": is_su2, "sl2c": is_sl2c}
 
 
 def sl2c_coefficients(x: np.ndarray) -> np.ndarray:
@@ -83,41 +74,27 @@ def from_coefficients(c: np.ndarray) -> np.ndarray:
     return np.einsum("...a,aij->...ij", np.asarray(c), BASIS)
 
 
-def random_algebra(seed, kind: str, scale: float = 1.0) -> np.ndarray:
-    """Deterministic random algebra element.
+def random_coefficients(rng: np.random.Generator, kind: str, scale: float, shape=()) -> np.ndarray:
+    """Basis coefficients of shape shape + (3,), uniform in [-scale, scale].
 
-    kind 'su2' draws 3 real coefficients uniform in [-scale, scale];
-    kind 'sl2c' draws 3 complex coefficients (real and imaginary parts
-    uniform in the same interval).
+    kind 'su2' draws real coefficients; kind 'sl2c' complex ones, all real
+    parts first, then all imaginary parts.  The scale must be positive with
+    2 * scale finite (the width of the interval).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    rng = as_rng(seed)
+    if not (scale > 0 and math.isfinite(2.0 * scale)):
+        raise ValueError(f"scale must be positive with 2 * scale finite, got {scale!r}")
+    shape = tuple(shape) + (3,)
     if kind == "su2":
-        c = rng.uniform(-scale, scale, size=3)
-    elif kind == "sl2c":
-        u, v = rng.uniform(-scale, scale, size=(2, 3))
-        c = u + 1j * v
-    else:
-        raise ValueError(f"unknown algebra kind {kind!r}")
-    return from_coefficients(c)
+        return rng.uniform(-scale, scale, size=shape)
+    if kind == "sl2c":
+        u = rng.uniform(-scale, scale, size=shape)
+        return u + 1j * rng.uniform(-scale, scale, size=shape)
+    raise ValueError(f"unknown algebra kind {kind!r}")
 
 
-def inverse(g: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix via the adjugate; raises on singular input."""
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det) < 1e-14:
-        raise ValueError("singular group element (|det| < 1e-14)")
-    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=complex) / det
-
-
-def is_special_unitary(g: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    unitary = np.max(np.abs(dagger(g) @ g - identity())) <= tol
-    return unitary and has_unit_determinant(g, tol)
-
-
-def has_unit_determinant(g: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return abs(np.linalg.det(g) - 1.0) <= tol
+def random_algebra(seed, kind: str, scale: float = 1.0) -> np.ndarray:
+    """Deterministic random algebra element (see `random_coefficients`)."""
+    return from_coefficients(random_coefficients(as_rng(seed), kind, scale))
 
 
 def expm_traceless(m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .algebra import random_algebra
+from .algebra import MEMBERSHIP, random_algebra
 from .checks import CHECKS
 from .cochain import PLANES
 from .curvature import (
@@ -90,6 +90,8 @@ def cmd_gen(args) -> int:
     elif args.kind == "constant":
         if args.matrix is not None:
             matrix = _parse_matrix(args.matrix)
+            if not MEMBERSHIP[args.algebra](matrix):
+                raise UsageError(f"--matrix is not an element of {args.algebra}")
         else:
             matrix = random_algebra(args.seed, args.algebra, args.scale)
         field = constant_connection(window, matrix, args.algebra)

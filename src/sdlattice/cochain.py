@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from .algebra import identity
-from .lattice import Index, Window
+from .lattice import Window
 
 PLANES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PLANE_INDEX = {p: n for n, p in enumerate(PLANES)}
@@ -113,13 +113,6 @@ class ConnectionField(Field):
             raise ValueError(f"axis must be in 1..4, got {axis!r}")
         return self.data[..., axis - 1, :, :]
 
-    def at(self, k: Index, axis: int) -> np.ndarray:
-        """Boundary-resolved read of A_k^axis (zero matrix outside)."""
-        site = self.window.wrap(k)
-        if site is None:
-            return np.zeros((2, 2), dtype=complex)
-        return self.component(axis)[site]
-
 
 class CurvatureField(Field):
     """2-cochain: components F_k^{ij} on (site, plane) slots, i < j."""
@@ -137,18 +130,6 @@ class CurvatureField(Field):
             raise ValueError(f"plane must be one of {PLANES}, got ({i}, {j})")
         return self.data[..., PLANE_INDEX[(i, j)], :, :]
 
-    def at(self, k: Index, i: int, j: int) -> np.ndarray:
-        """Boundary-resolved read of F_k^{ij}; j < i returns -F_k^{ji}."""
-        if i == j:
-            raise ValueError("plane axes must differ")
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        site = self.window.wrap(k)
-        if site is None:
-            return np.zeros((2, 2), dtype=complex)
-        return sign * self.plane(i, j)[site]
-
 
 class GaugeField(Field):
     """0-cochain of group elements g_k."""
@@ -161,38 +142,6 @@ class GaugeField(Field):
         data = np.empty(window.dims + (2, 2), dtype=complex)
         data[...] = identity()
         return cls(window, data, algebra)
-
-    def at(self, k: Index) -> np.ndarray:
-        """Boundary-resolved read of g_k (identity outside a zero window)."""
-        site = self.window.wrap(k)
-        if site is None:
-            return identity()
-        return self.data[site]
-
-
-def delta(field: ConnectionField, diff_axis: int, comp_axis: int, k: Index) -> np.ndarray:
-    """Forward difference at a site: A_{tau_i k}^j - A_k^j.
-
-    diff_axis is i (the shifted direction), comp_axis is j (the component
-    read).  Reads are boundary-resolved, so on zero windows sites outside
-    the box contribute the zero matrix.
-    """
-    up = list(k)
-    up[diff_axis - 1] += 1
-    return field.at(tuple(up), comp_axis) - field.at(k, comp_axis)
-
-
-def delta_field(field: ConnectionField, diff_axis: int, comp_axis: int) -> np.ndarray:
-    """Forward difference of one component over all sites at once."""
-    comp = field.component(comp_axis)
-    offsets = [0, 0, 0, 0]
-    offsets[diff_axis - 1] = 1
-    return shifted_read(comp, field.window, offsets) - comp
-
-
-def field_norm(field: Field) -> float:
-    """sqrt of the summed squared Frobenius norms of every slot."""
-    return float(np.linalg.norm(field.data))
 
 
 def max_entry(field: Field) -> float:

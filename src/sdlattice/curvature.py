@@ -7,8 +7,8 @@ The curvature of a 1-cochain A is the 2-cochain with plane components
 
 with Delta_i X_k = X_{tau_i k} - X_k.  The product order is implemented
 exactly as written.  Also provided: pure-gauge connections built from a
-group-valued 0-cochain, and synthetic curvature fields that satisfy the
-discrete (anti-)self-duality relations exactly by construction.
+group-valued 0-cochain, and diagonal-shift-invariant generator slices for
+the synthetic dual fields of `duality.synthetic_dual_curvature`.
 """
 from __future__ import annotations
 
@@ -108,18 +108,8 @@ def random_connection(window: Window, algebra_kind: str, seed, scale: float = 1.
     su2 draws 3 real coefficients per (site, axis); sl2c draws real and
     imaginary parts.  Deterministic in the seed.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     rng = algebra.as_rng(seed)
-    shape = window.dims + (4, 3)
-    if algebra_kind == "su2":
-        coeff = rng.uniform(-scale, scale, size=shape)
-    elif algebra_kind == "sl2c":
-        u = rng.uniform(-scale, scale, size=shape)
-        v = rng.uniform(-scale, scale, size=shape)
-        coeff = u + 1j * v
-    else:
-        raise ValueError(f"unknown algebra kind {algebra_kind!r}")
+    coeff = algebra.random_coefficients(rng, algebra_kind, scale, window.dims + (4,))
     return ConnectionField(window, algebra.from_coefficients(coeff), algebra=algebra_kind)
 
 
@@ -129,31 +119,6 @@ def random_gauge(window: Window, group_kind: str, seed) -> GaugeField:
     out = GaugeField.identity(window, algebra=group_kind)
     for site in window.sites():
         out.data[site] = algebra.random_group(rng, group_kind)
-    return out
-
-
-def random_curvature(window: Window, seed, scale: float = 1.0, kind: str = "general") -> CurvatureField:
-    """Free-standing random 2-cochain (not the curvature of any connection).
-
-    kind 'general' fills slots with complex normal entries; 'su2'/'sl2c'
-    fill them with random algebra elements.
-    """
-    rng = algebra.as_rng(seed)
-    out = CurvatureField.zeros(window, algebra=kind)
-    shape = window.dims + (6, 2, 2)
-    if kind == "general":
-        out.data[...] = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    else:
-        coeff_shape = window.dims + (6, 3)
-        if kind == "su2":
-            coeff = rng.uniform(-scale, scale, size=coeff_shape)
-        elif kind == "sl2c":
-            coeff = rng.uniform(-scale, scale, size=coeff_shape) + 1j * rng.uniform(
-                -scale, scale, size=coeff_shape
-            )
-        else:
-            raise ValueError(f"unknown curvature kind {kind!r}")
-        out.data[...] = algebra.from_coefficients(coeff)
     return out
 
 
@@ -180,47 +145,4 @@ def diag_invariant_slice(window: Window, seed, scale: float = 1.0, kind: str = "
             seen[cursor] = True
             out[cursor] = value
             cursor = tuple((c + 1) % n for c, n in zip(cursor, window.dims))
-    return out
-
-
-# Factor applied to the sigma_12-shifted F^{12} slice to populate F^{34}
-# so that the six duality relations hold exactly.
-_COMPANION_FACTOR = {
-    ("euclid", "self_dual"): 1.0,
-    ("euclid", "anti_self_dual"): -1.0,
-    ("mink", "self_dual"): 1.0j,
-    ("mink", "anti_self_dual"): -1.0j,
-}
-
-
-def synthetic_dual_curvature(
-    slice12: np.ndarray,
-    metric: str,
-    window: Window,
-    orientation: str = "self_dual",
-) -> CurvatureField:
-    """Curvature field solving the duality equations exactly.
-
-    F^{12} is the given diagonal-shift-invariant slice; F^{34} is its
-    sigma_12-shifted copy times +/-1 (euclid) or +/-i (mink); the four
-    remaining planes are zero.  All six component relations then hold
-    bitwise, as does the diagonal-shift relation F_k = F_{sigma k}.
-    """
-    if window.boundary != "periodic":
-        raise ValueError("synthetic dual fields require a periodic window")
-    key = (metric, orientation)
-    if key not in _COMPANION_FACTOR:
-        raise ValueError(f"unknown metric/orientation pair {key!r}")
-    slice12 = np.asarray(slice12, dtype=complex)
-    if slice12.shape != window.dims + (2, 2):
-        raise ValueError(f"slice shape {slice12.shape} != {window.dims + (2, 2)}")
-    shifted = shifted_read(slice12, window, (-1, -1, -1, -1))
-    if not np.array_equal(slice12, shifted):
-        raise ValueError("generator slice is not diagonal-shift invariant")
-    out = CurvatureField.zeros(window, algebra="general")
-    out.metric = metric
-    out.plane(1, 2)[...] = slice12
-    out.plane(3, 4)[...] = _COMPANION_FACTOR[key] * shifted_read(
-        slice12, window, (-1, -1, 0, 0)
-    )
     return out

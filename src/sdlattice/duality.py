@@ -1,12 +1,13 @@
-"""Self-dual / anti-self-dual residuals, the diagonal-shift relation, and
-the compact-support triviality check.
+"""Self-dual / anti-self-dual residuals, synthetic dual fields, the
+diagonal-shift relation, and the compact-support triviality check.
 
-Residual operators (vanishing residual characterizes a dual solution):
+The four residual operators are one linear map a F + b *F; a vanishing
+residual characterizes a dual solution:
 
-    euclid, self_dual:       F - *F        (F = *F)
-    euclid, anti_self_dual:  F + *F        (F = -*F)
-    mink,   self_dual:       *F - iF       (*F = iF)
-    mink,   anti_self_dual:  *F + iF       (*F = -iF)
+    euclid, self_dual:       F - *F        (a, b) = (1, -1)     (F = *F)
+    euclid, anti_self_dual:  F + *F        (a, b) = (1, +1)     (F = -*F)
+    mink,   self_dual:       *F - iF       (a, b) = (-i, 1)     (*F = iF)
+    mink,   anti_self_dual:  *F + iF       (a, b) = (+i, 1)     (*F = -iF)
 
 `residual_componentwise` evaluates the six long difference equations for a
 connection directly, one per plane, without building the curvature field
@@ -18,11 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import PLANES, ConnectionField, CurvatureField, diagonal_shift, max_entry
+from .cochain import (
+    PLANES,
+    ConnectionField,
+    CurvatureField,
+    diagonal_shift,
+    max_entry,
+    shifted_read,
+)
 from .curvature import plane_curvature
 from .hodge import METRICS, complement_plane, star, star_table
+from .lattice import Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
+
+# (a, b) of the residual a F + b *F, per (metric, orientation).
+_COEFFICIENTS = {
+    ("euclid", "self_dual"): (1, -1),
+    ("euclid", "anti_self_dual"): (1, 1),
+    ("mink", "self_dual"): (-1j, 1),
+    ("mink", "anti_self_dual"): (1j, 1),
+}
 
 # verify_triviality_theorem verdicts
 CONSISTENT = "consistent"
@@ -44,17 +61,19 @@ class DualityProblem:
                 f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
             )
 
+    @property
+    def coefficients(self) -> tuple[complex, complex]:
+        """(a, b) with residual = a F + b *F (table in the module docstring)."""
+        return _COEFFICIENTS[self.metric, self.orientation]
+
 
 def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
-    """Residual 2-cochain of the duality operator; zero iff F is a solution."""
-    starred = star(field, problem.metric)
-    sign = 1.0 if problem.orientation == "anti_self_dual" else -1.0
-    if problem.metric == "euclid":
-        data = field.data + sign * starred.data
-    else:
-        data = starred.data + sign * 1j * field.data
-    out = CurvatureField(field.window, data, algebra=field.algebra)
-    out.metric = problem.metric
+    """Residual 2-cochain a F + b *F of the duality operator; zero iff F is a solution."""
+    a, b = problem.coefficients
+    # b *F is scaled in place, so a F is the only other full-size temporary.
+    out = star(field, problem.metric)
+    out.data *= b
+    out.data += a * field.data
     return out
 
 
@@ -72,22 +91,48 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     resolved before zero-padding.
     """
     table = star_table(problem.metric)
+    a, b = problem.coefficients
     out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
     out.metric = problem.metric
-    asd = problem.orientation == "anti_self_dual"
     for plane in PLANES:
         source = complement_plane(plane)
-        sign = table.sign(source)
         base_src = [0, 0, 0, 0]
         base_src[source[0] - 1] = -1
         base_src[source[1] - 1] = -1
         own = plane_curvature(conn, *plane)
-        other = sign * plane_curvature(conn, *source, base=base_src)
-        if problem.metric == "euclid":
-            slot = own + other if asd else own - other
-        else:
-            slot = other + 1j * own if asd else other - 1j * own
-        out.plane(*plane)[...] = slot
+        other = table.sign(source) * plane_curvature(conn, *source, base=base_src)
+        out.plane(*plane)[...] = a * own + b * other
+    return out
+
+
+def synthetic_dual_curvature(
+    slice12: np.ndarray,
+    metric: str,
+    window: Window,
+    orientation: str = "self_dual",
+) -> CurvatureField:
+    """Curvature field solving the duality equations exactly.
+
+    F^{12} is the given diagonal-shift-invariant slice G; F^{34} is
+    c G_{sigma_12 k} with c = -b s_12 / a (s_12 the star sign of plane 12),
+    which cancels a F^{34} + b (*F)^{34}: +/-1 (euclid) or +/-i (mink).  The
+    four remaining planes are zero.  All six component relations then hold
+    bitwise, as does the diagonal-shift relation F_k = F_{sigma k}.
+    """
+    if window.boundary != "periodic":
+        raise ValueError("synthetic dual fields require a periodic window")
+    a, b = DualityProblem(metric, orientation).coefficients
+    slice12 = np.asarray(slice12, dtype=complex)
+    if slice12.shape != window.dims + (2, 2):
+        raise ValueError(f"slice shape {slice12.shape} != {window.dims + (2, 2)}")
+    shifted = shifted_read(slice12, window, (-1, -1, -1, -1))
+    if not np.array_equal(slice12, shifted):
+        raise ValueError("generator slice is not diagonal-shift invariant")
+    out = CurvatureField.zeros(window, algebra="general")
+    out.metric = metric
+    out.plane(1, 2)[...] = slice12
+    companion = -b * star_table(metric).sign((1, 2)) / a
+    out.plane(3, 4)[...] = companion * shifted_read(slice12, window, (-1, -1, 0, 0))
     return out
 
 

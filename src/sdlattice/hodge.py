@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochain import PLANES, CurvatureField, shifted_read
-from .lattice import Index, shift_pair
+from .lattice import Index
 
 _EUCLID_SIGNS = {
     (3, 4): 1, (2, 4): -1, (2, 3): 1,
@@ -56,6 +56,15 @@ class StarTable:
     def target(self, source_plane: tuple[int, int]) -> tuple[int, int]:
         return complement_plane(source_plane)
 
+    @property
+    def square_sign(self) -> int:
+        """epsilon in ** = epsilon (diagonal down-shift): +1 euclid, -1 mink.
+
+        A plane and its complement are each other's source, so the star
+        taken twice multiplies every slot by the product of their signs.
+        """
+        return self.sign((1, 2)) * self.sign((3, 4))
+
     def entries(self):
         """(source, target, sign, shift_plane) rows, one per source plane."""
         for plane, s in self.signs:
@@ -80,7 +89,8 @@ def star_basis_action(plane: tuple[int, int], k: Index, metric: str):
     ``* eps^k_plane = sign * eps^{tau_plane k}_target``.
     """
     table = star_table(metric)
-    return table.target(plane), shift_pair(k, *plane, "up"), table.sign(plane)
+    shifted = tuple(c + 1 if axis in plane else c for axis, c in enumerate(k, start=1))
+    return table.target(plane), shifted, table.sign(plane)
 
 
 def star(field: CurvatureField, metric: str) -> CurvatureField:

@@ -1,4 +1,4 @@
-"""Multi-index arithmetic on Z^4 and finite computation windows.
+"""Finite computation windows on Z^4.
 
 Sites are 4-tuples of integers.  Axes are 1-based throughout the public
 interface.  A Window truncates Z^4 to dims (N1, N2, N3, N4) with either
@@ -8,61 +8,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-AXES = (1, 2, 3, 4)
+from typing import Iterator
 
 Index = tuple[int, int, int, int]
 
 BOUNDARIES = ("periodic", "zero")
-
-
-def _check_axis(axis: int) -> None:
-    if axis not in AXES:
-        raise ValueError(f"axis must be in 1..4, got {axis!r}")
-
-
-def _check_direction(direction: str) -> int:
-    if direction == "up":
-        return 1
-    if direction == "down":
-        return -1
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
-
-def shift_up(k: Index, axis: int) -> Index:
-    """tau_i: increment component `axis` of k."""
-    _check_axis(axis)
-    out = list(k)
-    out[axis - 1] += 1
-    return tuple(out)
-
-
-def shift_down(k: Index, axis: int) -> Index:
-    """sigma_i: decrement component `axis` of k."""
-    _check_axis(axis)
-    out = list(k)
-    out[axis - 1] -= 1
-    return tuple(out)
-
-
-def shift_pair(k: Index, i: int, j: int, direction: str = "up") -> Index:
-    """tau_ij / sigma_ij: shift two distinct components one step."""
-    _check_axis(i)
-    _check_axis(j)
-    if i == j:
-        raise ValueError(f"shift_pair axes must differ, got i=j={i}")
-    step = _check_direction(direction)
-    out = list(k)
-    out[i - 1] += step
-    out[j - 1] += step
-    return tuple(out)
-
-
-def shift_diag(k: Index, direction: str = "up") -> Index:
-    """tau / sigma on all four components at once."""
-    step = _check_direction(direction)
-    return tuple(c + step for c in k)
 
 
 @dataclass(frozen=True)
@@ -92,19 +42,6 @@ class Window:
     def sites(self) -> Iterator[Index]:
         """All sites in row-major order over (k1, k2, k3, k4)."""
         return itertools.product(*(range(n) for n in self.dims))
-
-    def contains(self, k: Index) -> bool:
-        return all(0 <= c < n for c, n in zip(k, self.dims))
-
-    def wrap(self, k: Index) -> Optional[Index]:
-        """Resolve a possibly-outside index.
-
-        Periodic mode wraps componentwise modulo dims; zero mode returns
-        None (the Outside marker) for indices beyond the box.
-        """
-        if self.boundary == "periodic":
-            return tuple(int(c) % n for c, n in zip(k, self.dims))
-        return tuple(k) if self.contains(k) else None
 
     @classmethod
     def parse(cls, dims_text: str, boundary: str = "periodic") -> "Window":

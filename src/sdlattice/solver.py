@@ -18,16 +18,17 @@ point reuses it instead of recomputing the curvature.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, dagger, from_coefficients
+from .algebra import BASIS, MEMBERSHIP, dagger, from_coefficients, sl2c_coefficients
 from .cochain import PLANES, ConnectionField, diagonal_shift, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
-from .hodge import star
+from .hodge import star, star_table
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
@@ -53,12 +54,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack factor must be in (0, 1)")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
+        if not (math.isfinite(self.step0) and self.step0 > 0):
+            raise ValueError("step0 must be finite and positive")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
 
@@ -90,7 +91,7 @@ def _objective_and_residual(conn: ConnectionField, problem: DualityProblem):
 
 def connection_coefficients(conn: ConnectionField) -> np.ndarray:
     """Real coordinate array of shape dims + (4, n), n = 3 (su2) or 6 (sl2c)."""
-    c = 2.0 * np.einsum("aij,...ij->...a", BASIS.conj(), conn.data)
+    c = sl2c_coefficients(conn.data)
     if conn.algebra == "su2":
         return np.ascontiguousarray(c.real)
     if conn.algebra == "sl2c":
@@ -131,12 +132,6 @@ def _coefficient_gradient(g_slots: np.ndarray, algebra_kind: str) -> np.ndarray:
     raise ValueError("solver requires an su2 or sl2c connection")
 
 
-def gradient(conn: ConnectionField, problem: DualityProblem) -> ConnectionField:
-    """Gradient as a connection-shaped tangent (slots stay in the algebra)."""
-    coeff = gradient_coefficients(conn, problem)
-    return connection_from_coefficients(coeff, conn.window, conn.algebra)
-
-
 def _require_periodic(window: Window) -> None:
     if window.boundary != "periodic":
         raise ValueError("solver operations require a periodic window")
@@ -150,19 +145,17 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     w = conn.window
     if res is None:
         res = residual(curvature(conn), problem)
-    # Adjoint of the residual operator applied to the residual itself.  The
-    # star S is a signed permutation, so S^T = S^-1, and the double-star
-    # identities give S^-1 = +tau S (euclid) and -tau S (mink), with tau the
-    # diagonal up-shift.  Each adjoint is one expression, ordered so that no
-    # other full-size temporary is alive while the star is taken and numpy
-    # reuses the temporaries' buffers.
-    if problem.metric == "euclid":
-        sign = -1.0 if problem.orientation == "self_dual" else 1.0
-        g_f = 2.0 * (res.data + sign * diagonal_shift(star(res, "euclid"), "up").data)
-    else:
-        # res = S F -+ iF; adjoint of (+-i .) is (-+i .)
-        sign = 1.0j if problem.orientation == "self_dual" else -1.0j
-        g_f = 2.0 * (-diagonal_shift(star(res, "mink"), "up").data + sign * res.data)
+    # Adjoint of the residual operator a F + b S F applied to the residual
+    # itself: 2 (conj(a) res + conj(b) S^T res).  The star S is a signed
+    # permutation, so S^T = S^-1 = epsilon tau S by the double-star identity
+    # (epsilon = +1 euclid, -1 mink; tau the diagonal up-shift).  The star
+    # term is taken first, while no other full-size temporary is alive, and
+    # scaled in place.
+    a, b = problem.coefficients
+    g_f = diagonal_shift(star(res, problem.metric), "up").data
+    g_f *= b.conjugate() * star_table(problem.metric).square_sign
+    g_f += a.conjugate() * res.data
+    g_f *= 2.0
 
     comps = {i: conn.component(i) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.data)
@@ -204,10 +197,14 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     condition (slope 1e-4) holds and the objective strictly decreases.
     Stops at cfg.tol, at max_iter, when t underflows below 1e-16, or at a
     zero gradient (SolveReport.stop_reason).  Trace rows are (iteration,
-    objective, accepted t); deterministic in (conn0, cfg).
+    objective, accepted t); deterministic in (conn0, cfg).  Raises
+    ValueError if the values of conn0 are not in its algebra.
     """
     _require_periodic(conn0.window)
     window, kind, problem = conn0.window, conn0.algebra, cfg.problem
+    if kind in MEMBERSHIP and not MEMBERSHIP[kind](conn0.data):
+        # the coordinates below would project them onto the algebra
+        raise ValueError(f"connection values are not in {kind}")
     coeff = connection_coefficients(conn0)
     conn = connection_from_coefficients(coeff, window, kind)
     obj, res = _objective_and_residual(conn, problem)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import random_curvature, wrap
 from sdlattice.algebra import basis
 from sdlattice.checks import compact_nonzero_field
 from sdlattice.cochain import (
@@ -23,9 +24,7 @@ from sdlattice.curvature import (
     curvature,
     diag_invariant_slice,
     random_connection,
-    random_curvature,
     random_gauge,
-    synthetic_dual_curvature,
 )
 from sdlattice.duality import (
     CONSISTENT,
@@ -33,6 +32,7 @@ from sdlattice.duality import (
     check_diagonal_relation,
     residual,
     residual_componentwise,
+    synthetic_dual_curvature,
     verify_triviality_theorem,
 )
 from sdlattice.fieldio import (
@@ -71,8 +71,8 @@ def test_criterion_1_star_table_exactness():
             f.plane(*plane)[k0] = m
             target, site, sign = star_basis_action(plane, k0, metric)
             sf = star(f, metric)
-            assert np.array_equal(sf.plane(*target)[w.wrap(site)], sign * m)
-            sf.plane(*target)[w.wrap(site)] = 0.0
+            assert np.array_equal(sf.plane(*target)[wrap(w, site)], sign * m)
+            sf.plane(*target)[wrap(w, site)] = 0.0
             assert not np.any(sf.data)
             cases += 1
     assert cases == 12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdlattice.cli import main
-from sdlattice.cochain import CurvatureField
+from sdlattice.cochain import ConnectionField, CurvatureField
 from sdlattice.curvature import random_connection
 from sdlattice.fieldio import load, save
 from sdlattice.lattice import Window
@@ -98,6 +98,33 @@ def test_gen_usage_errors(tmp_path, capsys):
                        "--matrix", "1,2,3", "-o", str(p))
     assert code == 2
     assert "--matrix" in err
+
+
+def test_gen_scale_must_be_finite_with_finite_width(tmp_path, capsys):
+    # 1e308 is finite, but the draw interval [-scale, scale] is not
+    out = tmp_path / "a.field"
+    for kind in ("random", "constant"):
+        for scale in ("inf", "nan", "1e308"):
+            code, _, err = run(capsys, "gen", "--kind", kind, "--dims", "1,1,1,1",
+                               "--scale", scale, "-o", str(out))
+            assert code == 2, (kind, scale)
+            assert err.startswith("error: ") and "scale" in err
+            assert not out.exists()
+
+
+def test_gen_matrix_must_lie_in_the_algebra(tmp_path, capsys):
+    out = tmp_path / "c.field"
+    identity = "1,0,0,0,0,0,1,0"
+    hermitian = "1,0,0,0,0,0,-1,0"  # traceless, so sl2c but not su2
+    for matrix, algebra in ((identity, "su2"), (identity, "sl2c"), (hermitian, "su2")):
+        code, _, err = run(capsys, "gen", "--kind", "constant", "--dims", "1,1,1,1",
+                           "--matrix", matrix, "--algebra", algebra, "-o", str(out))
+        assert code == 2, (matrix, algebra)
+        assert "--matrix" in err
+        assert not out.exists()
+    code, _, _ = run(capsys, "gen", "--kind", "constant", "--dims", "1,1,1,1",
+                     "--matrix", hermitian, "--algebra", "sl2c", "-o", str(out))
+    assert code == 0
 
 
 def test_curv_rejects_rank_mismatch(tmp_path, capsys):
@@ -224,6 +251,30 @@ def test_solve_rejects_zero_boundary_and_general_algebra(tmp_path, capsys):
                        str(pg), "-o", str(tmp_path / "s.field"))
     assert code == 2
     assert "algebra" in err
+
+
+def test_solve_rejects_connections_outside_their_algebra(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    w = Window((1, 1, 1, 1), "periodic")
+    save(ConnectionField(w, np.broadcast_to(np.eye(2), (1, 1, 1, 1, 4, 2, 2)), "su2"), a)
+    code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                       str(a), "-o", str(tmp_path / "s.field"))
+    assert code == 2
+    assert "not in su2" in err
+    assert not (tmp_path / "s.field").exists()
+
+
+def test_solve_rejects_non_finite_tol_and_step0(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
+        "-o", str(a))
+    for flag in ("--tol", "--step0"):
+        for value in ("nan", "inf"):
+            code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                               flag, value, str(a), "-o", str(tmp_path / "s.field"))
+            assert code == 2, (flag, value)
+            assert flag[2:] in err
+            assert not (tmp_path / "s.field").exists()
 
 
 def test_solve_has_no_seed_flag(tmp_path, capsys):

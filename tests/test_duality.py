@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdlattice.algebra import basis, frobenius_norm
+from oracle import at, wrap
+from sdlattice.algebra import basis
 from sdlattice.cochain import (
     PLANES,
     ConnectionField,
@@ -15,7 +16,6 @@ from sdlattice.curvature import (
     curvature,
     diag_invariant_slice,
     random_connection,
-    synthetic_dual_curvature,
 )
 from sdlattice.duality import (
     CONSISTENT,
@@ -27,6 +27,7 @@ from sdlattice.duality import (
     residual,
     residual_componentwise,
     scalar_residual,
+    synthetic_dual_curvature,
     verify_triviality_theorem,
 )
 from sdlattice.hodge import star
@@ -93,9 +94,9 @@ def test_single_plane_constant_residual_example():
     f.plane(1, 2)[...] = basis(3)
     r = residual(f, DualityProblem("euclid", "self_dual"))
     for k in w.sites():
-        assert np.array_equal(r.at(k, 1, 2), basis(3))
-        assert np.array_equal(r.at(k, 3, 4), -basis(3))
-        assert frobenius_norm(r.at(k, 1, 2)) == pytest.approx(1 / np.sqrt(2))
+        assert np.array_equal(at(r, k, 1, 2), basis(3))
+        assert np.array_equal(at(r, k, 3, 4), -basis(3))
+        assert np.linalg.norm(at(r, k, 1, 2)) == pytest.approx(1 / np.sqrt(2))
     for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
         assert not np.any(r.plane(i, j))
     assert scalar_residual(f, DualityProblem("euclid", "self_dual")) == pytest.approx(
@@ -202,7 +203,7 @@ def test_mink_consistency_chain():
     shifted34 = shifted_read(f34, w, (-1, -1, -1, -1))
     assert np.array_equal(shifted34, f34)
     for k in w.sites():
-        src = w.wrap((k[0] - 1, k[1] - 1, k[2], k[3]))
+        src = wrap(w, (k[0] - 1, k[1] - 1, k[2], k[3]))
         assert np.array_equal(f34[k], 1j * f12[src])
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sdlattice.cochain import ConnectionField, CurvatureField
-from sdlattice.curvature import random_connection, random_curvature, random_gauge
+from oracle import random_curvature
+from sdlattice.curvature import random_connection, random_gauge
 from sdlattice.fieldio import (
     FORMAT_VERSION,
     FieldFormatError,

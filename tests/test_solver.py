@@ -14,7 +14,6 @@ from sdlattice.solver import (
     SolveReport,
     connection_coefficients,
     connection_from_coefficients,
-    gradient,
     gradient_coefficients,
     objective,
     solve,
@@ -137,7 +136,8 @@ def test_gradient_directional_derivative():
 def test_gradient_field_shape():
     w = Window((3, 3, 3, 3), "periodic")
     a = random_connection(w, "sl2c", seed=9, scale=0.2)
-    g = gradient(a, DualityProblem("mink", "anti_self_dual"))
+    coeff = gradient_coefficients(a, DualityProblem("mink", "anti_self_dual"))
+    g = connection_from_coefficients(coeff, w, "sl2c")
     assert isinstance(g, ConnectionField)
     assert g.algebra == "sl2c"
     assert is_sl2c(g.data[1, 2, 0, 1, 3])
@@ -156,6 +156,25 @@ def test_config_validation():
         SolveConfig(EUCLID_SD, step0=-1.0)
     with pytest.raises(ValueError):
         SolveConfig(EUCLID_SD, trace_every=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolveConfig(EUCLID_SD, tol=value)
+        with pytest.raises(ValueError):
+            SolveConfig(EUCLID_SD, step0=value)
+
+
+def test_solve_rejects_values_outside_the_algebra():
+    # the coordinates would project them onto the algebra without a word
+    w = Window((2, 1, 1, 1), "periodic")
+    hermitian = np.diag([1.0, -1.0]).astype(complex)  # in sl2c, not in su2
+    for kind, matrix in (("su2", hermitian), ("sl2c", np.eye(2, dtype=complex))):
+        a = constant_connection(w, matrix, algebra_kind=kind)
+        with pytest.raises(ValueError, match=f"not in {kind}"):
+            solve(a, SolveConfig(EUCLID_SD))
+    # far from the origin the tolerance is relative to the entries: no error
+    big = random_connection(w, "su2", seed=1, scale=1e6)
+    big.data[..., 0, 0] += 1e-9
+    solve(big, SolveConfig(EUCLID_SD, max_iter=1))
 
 
 def test_solve_flat_start_returns_immediately():
