@@ -41,6 +41,17 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
+def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix product x y of 2x2 matrices, broadcast over leading axes.
+
+    Entry (r, c) is x_r0 y_0c + x_r1 y_1c, computed as the sum of two
+    broadcast outer products (column of x times row of y).  On stacks this
+    is several times faster than `@`, whose generic matmul loop dominates
+    at 2x2; the result is a new array.
+    """
+    return x[..., :, 0, None] * y[..., None, 0, :] + x[..., :, 1, None] * y[..., None, 1, :]
+
+
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """err <= tol * max(1, largest entry magnitude), matrix by matrix."""
     return bool(np.all(err <= tol * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))))
@@ -98,44 +109,48 @@ def random_algebra(seed, kind: str, scale: float = 1.0) -> np.ndarray:
 
 
 def expm_traceless(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a traceless 2x2 matrix.
+    """Matrix exponential of traceless 2x2 matrices, batched over leading axes.
 
     Uses m^2 = -det(m) * I: exp(m) = cosh(mu) I + sinh(mu)/mu * m with
     mu^2 = -det(m).  The mu -> 0 limit is handled by a series.
     """
-    if abs(np.trace(m)) > 1e-12:
+    m = np.asarray(m)
+    if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1)) > 1e-12):
         raise ValueError("expm_traceless requires a traceless matrix")
-    mu2 = m[0, 0] ** 2 + m[0, 1] * m[1, 0]
-    mu = np.sqrt(complex(mu2))
-    if abs(mu) < 1e-6:
-        # cosh and sinh(mu)/mu as series in mu^2
-        ch = 1.0 + mu2 / 2.0 + mu2**2 / 24.0
-        shc = 1.0 + mu2 / 6.0 + mu2**2 / 120.0
-    else:
-        ch = np.cosh(mu)
-        shc = np.sinh(mu) / mu
-    return ch * identity() + shc * m
+    mu2 = np.asarray(m[..., 0, 0] ** 2 + m[..., 0, 1] * m[..., 1, 0], dtype=complex)
+    mu = np.sqrt(mu2)
+    small = np.abs(mu) < 1e-6
+    # cosh and sinh(mu)/mu as series in mu^2 where mu is small
+    mu_safe = np.where(small, 1.0, mu)
+    ch = np.where(small, 1.0 + mu2 / 2.0 + mu2**2 / 24.0, np.cosh(mu_safe))
+    shc = np.where(small, 1.0 + mu2 / 6.0 + mu2**2 / 120.0, np.sinh(mu_safe) / mu_safe)
+    return ch[..., None, None] * identity() + shc[..., None, None] * m
 
 
-def random_group(seed, kind: str) -> np.ndarray:
-    """Deterministic random group element.
+def random_group(seed, kind: str, shape=()) -> np.ndarray:
+    """Deterministic random group elements, an array of shape shape + (2, 2).
 
+    Elements are drawn one after another in row-major order over shape.
     'su2' normalizes a 4-vector of normals into a_0 I + i a.sigma (unit
     determinant, unitary by construction); 'sl2c' exponentiates a random
-    sl(2,C) element and renormalizes the determinant.
+    sl(2,C) element (3 real, then 3 imaginary coefficients uniform in
+    [-1, 1]) and renormalizes the determinant.
     """
     rng = as_rng(seed)
+    shape = tuple(shape)
     if kind == "su2":
-        v = rng.normal(size=4)
-        while np.linalg.norm(v) < 1e-12:
-            v = rng.normal(size=4)
-        v = v / np.linalg.norm(v)
-        return v[0] * identity() + 1j * (
-            v[1] * PAULI[0] + v[2] * PAULI[1] + v[3] * PAULI[2]
-        )
+        v = rng.normal(size=shape + (4,))
+        norm = np.linalg.norm(v, axis=-1)
+        # degenerate vectors (never seen in practice) are redrawn after the rest
+        while np.any(bad := norm < 1e-12):
+            v[bad] = rng.normal(size=(np.count_nonzero(bad), 4))
+            norm = np.linalg.norm(v, axis=-1)
+        a0, a1, a2, a3 = (v[..., n, None, None] / norm[..., None, None] for n in range(4))
+        return a0 * identity() + 1j * (a1 * PAULI[0] + a2 * PAULI[1] + a3 * PAULI[2])
     if kind == "sl2c":
-        g = expm_traceless(random_algebra(rng, "sl2c", 1.0))
-        return g / np.sqrt(np.linalg.det(g))
+        u = rng.uniform(-1.0, 1.0, size=shape + (2, 3))
+        g = expm_traceless(from_coefficients(u[..., 0, :] + 1j * u[..., 1, :]))
+        return g / np.sqrt(np.linalg.det(g))[..., None, None]
     raise ValueError(f"unknown group kind {kind!r}")
 
 

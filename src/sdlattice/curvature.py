@@ -43,7 +43,12 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) ->
     up_j[j - 1] += 1
     aj_up_i = shifted_read(conn.component(j), w, up_i)
     ai_up_j = shifted_read(conn.component(i), w, up_j)
-    return (aj_up_i - aj) - (ai_up_j - ai) + ai @ aj_up_i - aj @ ai_up_j
+    # accumulated in place, left to right as printed
+    out = aj_up_i - aj
+    out -= ai_up_j - ai
+    out += algebra.mul(ai, aj_up_i)
+    out -= algebra.mul(aj, ai_up_j)
+    return out
 
 
 def curvature(conn: ConnectionField) -> CurvatureField:
@@ -78,7 +83,7 @@ def pure_gauge(gauge: GaugeField) -> ConnectionField:
         offsets = [0, 0, 0, 0]
         offsets[j - 1] = 1
         g_up = shifted_read(g, w, offsets, fill=algebra.identity())
-        out.component(j)[...] = -((g_up - g) @ g_inv)
+        out.component(j)[...] = -algebra.mul(g_up - g, g_inv)
     return out
 
 
@@ -114,12 +119,9 @@ def random_connection(window: Window, algebra_kind: str, seed, scale: float = 1.
 
 
 def random_gauge(window: Window, group_kind: str, seed) -> GaugeField:
-    """Gauge 0-cochain of independent random group elements."""
-    rng = algebra.as_rng(seed)
-    out = GaugeField.identity(window, algebra=group_kind)
-    for site in window.sites():
-        out.data[site] = algebra.random_group(rng, group_kind)
-    return out
+    """Gauge 0-cochain of independent random group elements, drawn site by
+    site in row-major order (see `algebra.random_group`)."""
+    return GaugeField(window, algebra.random_group(seed, group_kind, window.dims), algebra=group_kind)
 
 
 def diag_invariant_slice(window: Window, seed, scale: float = 1.0, kind: str = "su2") -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, MEMBERSHIP, dagger, from_coefficients, sl2c_coefficients
+from .algebra import BASIS, MEMBERSHIP, dagger, from_coefficients, mul, sl2c_coefficients
 from .cochain import PLANES, ConnectionField, diagonal_shift, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
@@ -69,6 +69,9 @@ class SolveReport:
     """Outcome of `solve`; residual figures are objective values R(A).
 
     stop_reason: "converged", "max_iter", "step_underflow" or "stationary".
+    evaluations counts objective evaluations, rejected line-search trials
+    included; gradient_evaluations counts gradients (a converged run takes
+    one per iteration).
     """
 
     iterations: int
@@ -76,6 +79,8 @@ class SolveReport:
     residual_trace: list[tuple[int, float, float]] = field(default_factory=list)
     converged: bool = False
     stop_reason: str = "max_iter"
+    evaluations: int = 0
+    gradient_evaluations: int = 0
 
 
 def objective(conn: ConnectionField, problem: DualityProblem) -> float:
@@ -157,7 +162,8 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     g_f += a.conjugate() * res.data
     g_f *= 2.0
 
-    comps = {i: conn.component(i) for i in (1, 2, 3, 4)}
+    # A^dag once per component; a shifted dagger is the dagger of the shift
+    dag = {i: dagger(conn.component(i)) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.data)
 
     def up(arr, axis):
@@ -178,11 +184,11 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
         gj += down(g, i) - g
         gi -= down(g, j) - g
         # product term  A^i_k A^j_{tau_i k}
-        gi += g @ dagger(up(comps[j], i))
-        gj += down(dagger(comps[i]) @ g, i)
+        gi += mul(g, up(dag[j], i))
+        gj += down(mul(dag[i], g), i)
         # product term -A^j_k A^i_{tau_j k}
-        gj -= g @ dagger(up(comps[i], j))
-        gi -= down(dagger(comps[j]) @ g, j)
+        gj -= mul(g, up(dag[i], j))
+        gi -= down(mul(dag[j], g), j)
     return grad
 
 
@@ -209,13 +215,14 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     conn = connection_from_coefficients(coeff, window, kind)
     obj, res = _objective_and_residual(conn, problem)
     trace = [(0, obj, 0.0)]
-    report = SolveReport(iterations=0, final_residual=obj, residual_trace=trace)
+    report = SolveReport(iterations=0, final_residual=obj, residual_trace=trace, evaluations=1)
     if obj <= cfg.tol:
         report.converged, report.stop_reason = True, "converged"
         return conn, report
 
     history = deque(maxlen=LBFGS_MEMORY)
     g = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind)
+    report.gradient_evaluations += 1
     for it in range(1, cfg.max_iter + 1):
         g_sq = float(np.sum(g * g))
         if g_sq == 0.0:
@@ -231,6 +238,7 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
             trial = coeff + t * d
             trial_conn = connection_from_coefficients(trial, window, kind)
             trial_obj, trial_res = _objective_and_residual(trial_conn, problem)
+            report.evaluations += 1
             if trial_obj < obj and trial_obj <= obj + 1e-4 * t * slope:
                 break
             t *= cfg.backtrack
@@ -246,6 +254,7 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
             report.converged, report.stop_reason = True, "converged"
             break
         g_new = _coefficient_gradient(_gradient_matrices(conn, problem, trial_res), kind)
+        report.gradient_evaluations += 1
         s, y = t * d, g_new - g
         sy = float(np.sum(s * y))
         if sy > 0.0:

@@ -130,6 +130,50 @@ def test_group_membership():
         assert has_unit_determinant(h)
 
 
+def random_stack(rng, shape):
+    return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+
+def test_mul_matches_matmul_per_matrix():
+    rng = np.random.default_rng(12)
+    x, y = random_stack(rng, (3, 2, 4)), random_stack(rng, (3, 2, 4))
+    p = al.mul(x, y)
+    assert p.shape == x.shape
+    for idx in np.ndindex(3, 2, 4):
+        ref = x[idx] @ y[idx]
+        assert np.max(np.abs(p[idx] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_mul_is_bitwise_the_entrywise_formula():
+    rng = np.random.default_rng(13)
+    x, y = random_stack(rng, (5, 3)), random_stack(rng, (5, 3))
+    p = al.mul(x, y)
+    for r in (0, 1):
+        for c in (0, 1):
+            entry = x[..., r, 0] * y[..., 0, c] + x[..., r, 1] * y[..., 1, c]
+            assert np.array_equal(p[..., r, c], entry)
+
+
+def test_mul_broadcasts_one_matrix_against_a_stack():
+    rng = np.random.default_rng(14)
+    m, stack = random_stack(rng, ()), random_stack(rng, (4, 3))
+    left, right = al.mul(m, stack), al.mul(stack, m)
+    assert left.shape == right.shape == (4, 3, 2, 2)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(left[idx], al.mul(m, stack[idx]))
+        assert np.array_equal(right[idx], al.mul(stack[idx], m))
+
+
+def test_mul_returns_a_fresh_array():
+    rng = np.random.default_rng(15)
+    x, y = random_stack(rng, (2,)), random_stack(rng, (2,))
+    x0, y0 = x.copy(), y.copy()
+    p = al.mul(x, y)
+    p[...] = 0
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    assert not np.shares_memory(p, x) and not np.shares_memory(p, y)
+
+
 def test_expm_traceless():
     # exp(t l_3) is diagonal with phases -t/2, +t/2
     t = 0.7
@@ -144,5 +188,10 @@ def test_expm_traceless():
     # small-norm series branch
     m = 1e-8 * al.basis(2)
     assert np.linalg.norm(al.expm_traceless(m) - (al.identity() + m)) <= 1e-15
+    # a stack mixing both branches is exponentiated matrix by matrix
+    stack = np.stack([m, al.random_algebra(rng, "sl2c"), 0.7 * al.basis(3)])
+    e = al.expm_traceless(stack)
+    for n in range(3):
+        assert np.array_equal(e[n], al.expm_traceless(stack[n]))
     with pytest.raises(ValueError):
         al.expm_traceless(al.identity())

@@ -12,7 +12,7 @@ from oracle import (
     shift_up,
     wrap,
 )
-from sdlattice.algebra import basis, identity, is_su2, sl2c_coefficients
+from sdlattice.algebra import basis, identity, is_su2, mul, random_group, sl2c_coefficients
 from sdlattice.cochain import PLANES, GaugeField
 from sdlattice.curvature import (
     constant_connection,
@@ -28,12 +28,15 @@ from sdlattice.lattice import Window
 
 
 def eval_plane(conn, k, i, j):
-    """Sitewise curvature component, product order exactly as in curvature()."""
+    """Sitewise curvature component, product order exactly as in curvature().
+
+    The products use the kernel's 2x2 product `mul`, so the comparison with
+    curvature() can stay bitwise."""
     ai = at(conn, k, i)
     aj = at(conn, k, j)
     aj_up = at(conn, shift_up(k, i), j)
     ai_up = at(conn, shift_up(k, j), i)
-    return (aj_up - aj) - (ai_up - ai) + ai @ aj_up - aj @ ai_up
+    return (aj_up - aj) - (ai_up - ai) + mul(ai, aj_up) - mul(aj, ai_up)
 
 
 def test_zero_connection_has_zero_curvature():
@@ -204,6 +207,16 @@ def test_random_gauge_membership_and_determinism():
     s = random_gauge(w, "sl2c", seed=3)
     for k in w.sites():
         assert has_unit_determinant(s.data[k])
+
+
+def test_random_gauge_matches_sitewise_draws():
+    # reference: one group element per site, row-major, from one generator
+    w = Window((3, 2, 2, 3))
+    for kind in ("su2", "sl2c"):
+        g = random_gauge(w, kind, seed=9)
+        rng = np.random.default_rng(9)
+        for k in w.sites():
+            assert np.array_equal(g.data[k], random_group(rng, kind))
 
 
 def test_random_curvature_kinds():

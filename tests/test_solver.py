@@ -186,6 +186,7 @@ def test_solve_flat_start_returns_immediately():
     assert report.final_residual == 0.0
     assert report.residual_trace == [(0, 0.0, 0.0)]
     assert report.stop_reason == "converged"
+    assert (report.evaluations, report.gradient_evaluations) == (1, 0)
     assert not np.any(out.data)
 
 
@@ -201,6 +202,29 @@ def test_solve_small_perturbation_converges():
     assert objective(out, EUCLID_SD) == report.final_residual
     # iterates stayed in the algebra
     assert is_su2(out.data[1, 0, 2, 1, 2])
+
+
+def test_solve_reports_evaluation_counts(monkeypatch):
+    calls = {"objective": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_objective_and_residual",
+                        counted("objective", solver._objective_and_residual))
+    monkeypatch.setattr(solver, "_gradient_matrices",
+                        counted("gradient", solver._gradient_matrices))
+    a0 = random_connection(Window((3, 3, 3, 3), "periodic"), "su2", seed=0, scale=1e-2)
+    _, report = solve(a0, SolveConfig(EUCLID_SD, max_iter=1000, tol=1e-8))
+    assert report.converged
+    # the start point, then at least one line-search trial per iteration
+    assert report.evaluations >= report.iterations + 1
+    assert report.evaluations == calls["objective"]
+    # one gradient at the start and one per accepted step but the last
+    assert report.gradient_evaluations == report.iterations == calls["gradient"]
 
 
 def test_solve_trace_is_non_increasing():
