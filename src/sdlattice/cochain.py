@@ -8,6 +8,7 @@ dims + (slots, 2, 2), sites in row-major order.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -24,12 +25,16 @@ ALGEBRA_KINDS = ("su2", "sl2c", "general")
 def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
     """Whole-field shifted read: out[k] = data[k + offsets].
 
-    Periodic windows wrap; zero windows fill reads outside the box with
-    `fill` (default zeros).  The first four array axes index the site.
+    Periodic windows wrap by cached slice copies (`_periodic_blocks`); zero
+    windows pad, filling reads outside the box with `fill` (default zeros).
+    The result is a new array.  The first four array axes index the site.
     """
     offsets = tuple(int(o) for o in offsets)
     if window.boundary == "periodic":
-        return np.roll(data, tuple(-o for o in offsets), axis=(0, 1, 2, 3))
+        out = np.empty_like(data)
+        for dst, src in _periodic_blocks(window.dims, offsets):
+            out[dst] = data[src]
+        return out
     if fill is None:
         out = np.zeros_like(data)
     else:
@@ -45,6 +50,21 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
         src.append(slice(lo + off, hi + off))
     out[tuple(dst)] = data[tuple(src)]
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _periodic_blocks(dims: tuple, offsets: tuple) -> tuple:
+    """(destination, source) slice tuples whose copies make a periodic read.
+
+    Along an axis shifted by s = offset mod n > 0, sites [0, n - s) read
+    [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
+    """
+    blocks = [((), ())]
+    for n, off in zip(dims, offsets):
+        s = off % n
+        pairs = ((slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s)))[: 2 if s else 1]
+        blocks = [(d + (pd,), r + (pr,)) for d, r in blocks for pd, pr in pairs]
+    return tuple(blocks)
 
 
 class Field:

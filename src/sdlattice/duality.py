@@ -150,23 +150,6 @@ def check_diagonal_relation(field: CurvatureField, tol: float = 1e-12) -> Relati
     return RelationReport(holds=violation <= tol, max_violation=violation)
 
 
-def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> RelationReport:
-    """Difference analog of the diagonal relation, evaluated directly on A.
-
-    For every plane (j, r): the curvature expression at k equals the same
-    expression with every read shifted diagonally down.  Agrees with
-    check_diagonal_relation(curvature(A)).
-    """
-    if conn.window.boundary != "periodic":
-        raise ValueError("difference-form check requires a periodic window")
-    violation = 0.0
-    for plane in PLANES:
-        lhs = plane_curvature(conn, *plane)
-        rhs = plane_curvature(conn, *plane, base=(-1, -1, -1, -1))
-        violation = max(violation, float(np.max(np.abs(lhs - rhs))))
-    return RelationReport(holds=violation <= tol, max_violation=violation)
-
-
 def verify_triviality_theorem(
     field: CurvatureField,
     support_bound,

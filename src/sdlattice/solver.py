@@ -19,6 +19,7 @@ point reuses it instead of recomputing the curvature.
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -71,7 +72,8 @@ class SolveReport:
     stop_reason: "converged", "max_iter", "step_underflow" or "stationary".
     evaluations counts objective evaluations, rejected line-search trials
     included; gradient_evaluations counts gradients (a converged run takes
-    one per iteration).
+    one per iteration).  wall_s spans the whole call; grad_norm is the
+    Euclidean norm of the last gradient computed (0.0 if none was taken).
     """
 
     iterations: int
@@ -81,6 +83,8 @@ class SolveReport:
     stop_reason: str = "max_iter"
     evaluations: int = 0
     gradient_evaluations: int = 0
+    wall_s: float = 0.0
+    grad_norm: float = 0.0
 
 
 def objective(conn: ConnectionField, problem: DualityProblem) -> float:
@@ -166,29 +170,23 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     dag = {i: dagger(conn.component(i)) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.data)
 
-    def up(arr, axis):
-        offsets = [0, 0, 0, 0]
-        offsets[axis - 1] = 1
-        return shifted_read(arr, w, offsets)
+    def up(arr, axis, step=1):
+        return shifted_read(arr, w, [step * (k == axis) for k in (1, 2, 3, 4)])
 
     def down(arr, axis):
-        offsets = [0, 0, 0, 0]
-        offsets[axis - 1] = -1
-        return shifted_read(arr, w, offsets)
+        return up(arr, axis, -1)
 
     for n, (i, j) in enumerate(PLANES):
         g = g_f[..., n, :, :]
         gi = grad[..., i - 1, :, :]
         gj = grad[..., j - 1, :, :]
-        # difference terms: F gets Delta_i A^j - Delta_j A^i
-        gj += down(g, i) - g
-        gi -= down(g, j) - g
-        # product term  A^i_k A^j_{tau_i k}
+        # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
+        # difference term and the product term's shifted factor pull back
+        # through the same down-shift into the same component: one read each.
+        gj += down(g + mul(dag[i], g), i) - g
+        gi -= down(g + mul(dag[j], g), j) - g
         gi += mul(g, up(dag[j], i))
-        gj += down(mul(dag[i], g), i)
-        # product term -A^j_k A^i_{tau_j k}
         gj -= mul(g, up(dag[i], j))
-        gi -= down(mul(dag[j], g), j)
     return grad
 
 
@@ -206,6 +204,7 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     objective, accepted t); deterministic in (conn0, cfg).  Raises
     ValueError if the values of conn0 are not in its algebra.
     """
+    start = time.perf_counter()
     _require_periodic(conn0.window)
     window, kind, problem = conn0.window, conn0.algebra, cfg.problem
     if kind in MEMBERSHIP and not MEMBERSHIP[kind](conn0.data):
@@ -218,6 +217,7 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     report = SolveReport(iterations=0, final_residual=obj, residual_trace=trace, evaluations=1)
     if obj <= cfg.tol:
         report.converged, report.stop_reason = True, "converged"
+        report.wall_s = time.perf_counter() - start
         return conn, report
 
     history = deque(maxlen=LBFGS_MEMORY)
@@ -261,6 +261,8 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
             history.append((s, y, sy))
         g = g_new
     report.final_residual = obj
+    report.grad_norm = float(np.linalg.norm(g))
+    report.wall_s = time.perf_counter() - start
     return conn, report
 
 

@@ -1,4 +1,5 @@
-"""Per-site reference helpers the tests compare the whole-field kernels against.
+"""Per-site reference helpers the tests compare the whole-field kernels against,
+and the difference form of the diagonal relation (relation 13) checked on A.
 
 Sites are 4-tuples, axes 1-based.  Reads resolve a possibly-outside site
 the way the window does: periodic windows wrap, zero windows read the zero
@@ -9,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from sdlattice.algebra import as_rng, dagger, from_coefficients, random_coefficients
-from sdlattice.cochain import CurvatureField, GaugeField
+from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField
+from sdlattice.curvature import plane_curvature
+from sdlattice.duality import RelationReport
 
 AXES = (1, 2, 3, 4)
 
@@ -108,3 +111,20 @@ def random_curvature(window, seed, scale: float = 1.0, kind: str = "general") ->
     else:
         raise ValueError(f"unknown curvature kind {kind!r}")
     return out
+
+
+def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> RelationReport:
+    """Difference analog of the diagonal relation, evaluated directly on A.
+
+    For every plane (j, r): the curvature expression at k equals the same
+    expression with every read shifted diagonally down.  Agrees with
+    check_diagonal_relation(curvature(A)).
+    """
+    if conn.window.boundary != "periodic":
+        raise ValueError("difference-form check requires a periodic window")
+    violation = 0.0
+    for plane in PLANES:
+        lhs = plane_curvature(conn, *plane)
+        rhs = plane_curvature(conn, *plane, base=(-1, -1, -1, -1))
+        violation = max(violation, float(np.max(np.abs(lhs - rhs))))
+    return RelationReport(holds=violation <= tol, max_violation=violation)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,24 @@ def delta_field(a, diff_axis, comp_axis):
 
 
 def test_shifted_read_periodic_matches_sitewise_wrap():
-    w = Window((2, 3, 2, 2), "periodic")
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=w.dims + (2, 2)) + 1j * rng.normal(size=w.dims + (2, 2))
-    offsets = (1, -1, 0, 2)
-    out = shifted_read(data, w, offsets)
-    for k in w.sites():
-        src = wrap(w, tuple(c + o for c, o in zip(k, offsets)))
-        assert np.array_equal(out[k], data[src])
+    # Every offset in {-3..3}^4 on axes of length 1, 2 and 3, so offsets at or
+    # beyond the axis length and negative ones are covered.  Two windows with
+    # different dims take the same offsets (a cache keyed on the offsets alone
+    # fails the second); strided component and plane views are read as given.
+    for dims in ((3, 1, 2, 3), (2, 3, 3, 1)):
+        w = Window(dims, "periodic")
+        a = random_connection(w, "sl2c", seed=0)
+        f = CurvatureField(w, np.random.default_rng(1).normal(size=dims + (6, 2, 2)))
+        inputs = (a.component(3), f.plane(2, 4), f.data, np.ascontiguousarray(a.component(1)))
+        sites = list(w.sites())
+        for offsets in itertools.product(range(-3, 4), repeat=4):
+            src = [wrap(w, tuple(c + o for c, o in zip(k, offsets))) for k in sites]
+            src = tuple(np.array(src).T)
+            for data in inputs:
+                out = shifted_read(data, w, offsets)
+                assert not np.shares_memory(out, data)
+                assert np.array_equal(out, np.roll(data, [-o for o in offsets], axis=(0, 1, 2, 3)))
+                assert np.array_equal(out, data[src].reshape(data.shape))
 
 
 def test_shifted_read_zero_pads_outside():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle import at, wrap
+from oracle import at, check_difference_form_13, wrap
 from sdlattice.algebra import basis
 from sdlattice.cochain import (
     PLANES,
@@ -23,7 +23,6 @@ from sdlattice.duality import (
     VIOLATES_SUPPORT,
     DualityProblem,
     check_diagonal_relation,
-    check_difference_form_13,
     residual,
     residual_componentwise,
     scalar_residual,

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from sdlattice.algebra import basis, is_sl2c, is_su2
-from sdlattice.cochain import ConnectionField
+from sdlattice.cochain import ConnectionField, shifted_read
 from sdlattice.curvature import constant_connection, curvature, random_connection
 from sdlattice.duality import DualityProblem, residual, scalar_residual
+from sdlattice.hodge import star
 from sdlattice import solver
 from sdlattice.lattice import Window
 from sdlattice.solver import (
@@ -143,6 +147,33 @@ def test_gradient_field_shape():
     assert is_sl2c(g.data[1, 2, 0, 1, 3])
 
 
+def test_gradient_read_budget(monkeypatch):
+    # one gradient takes 12 curvature reads, 6 star reads, 1 diagonal shift
+    # and 24 in the adjoint (each down-read serves a difference term and a
+    # product term), and no np.roll anywhere along the way
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return shifted_read(*args, **kwargs)
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called")
+
+    # sys.modules: the package namespace re-exports `curvature` the function
+    for name in ("solver", "curvature", "hodge", "cochain"):
+        monkeypatch.setattr(sys.modules[f"sdlattice.{name}"], "shifted_read", counted)
+    monkeypatch.setattr(np, "roll", no_roll)
+    w = Window((3, 3, 3, 3), "periodic")
+    a = random_connection(w, "su2", seed=8, scale=0.3)
+    gradient_coefficients(a, EUCLID_SD)
+    assert calls <= 49
+    f = curvature(a)
+    star(f, "euclid")
+    residual(f, EUCLID_SD)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(EUCLID_SD, max_iter=0)
@@ -188,6 +219,23 @@ def test_solve_flat_start_returns_immediately():
     assert report.stop_reason == "converged"
     assert (report.evaluations, report.gradient_evaluations) == (1, 0)
     assert not np.any(out.data)
+
+
+def test_solve_reports_wall_time_and_gradient_norm():
+    w = Window((3, 3, 3, 3), "periodic")
+    _, flat = solve(ConnectionField.zeros(w), SolveConfig(EUCLID_SD))
+    assert flat.grad_norm == 0.0
+    assert math.isfinite(flat.wall_s) and flat.wall_s >= 0.0
+    a0 = random_connection(w, "su2", seed=0, scale=1e-2)
+    # one step short of convergence: the last gradient is taken at the output
+    out, capped = solve(a0, SolveConfig(EUCLID_SD, max_iter=1))
+    assert capped.stop_reason == "max_iter"
+    assert capped.grad_norm == np.linalg.norm(gradient_coefficients(out, EUCLID_SD))
+    _, done = solve(a0, SolveConfig(EUCLID_SD, max_iter=1000, tol=1e-8))
+    assert done.converged
+    for report in (capped, done):
+        assert math.isfinite(report.grad_norm) and report.grad_norm > 0.0
+        assert math.isfinite(report.wall_s) and report.wall_s >= 0.0
 
 
 def test_solve_small_perturbation_converges():
