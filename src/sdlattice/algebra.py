@@ -1,7 +1,8 @@
 """2x2 complex matrix arithmetic for su(2), sl(2,C) and their groups.
 
 Matrices are plain ``(2, 2)`` complex numpy arrays, or stacks of them over
-leading axes.  The Lie algebra basis is ``l_a = -(i/2) * sigma_a``
+leading axes; `mul` alone takes its stacks entries-first, in the memory
+order of `Field.buf`.  The Lie algebra basis is ``l_a = -(i/2) * sigma_a``
 (``sigma_a`` the Pauli matrices), normalized so that ``[l_1, l_2] = l_3``
 and cyclic permutations.  With this choice the basis is orthogonal under
 ``<X, Y> = tr(X^dag Y)`` with ``<l_a, l_a> = 1/2``.
@@ -42,14 +43,16 @@ def dagger(x: np.ndarray) -> np.ndarray:
 
 
 def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product x y of 2x2 matrices, broadcast over leading axes.
+    """Matrix product x y of 2x2 matrices whose entries are the first two axes.
 
-    Entry (r, c) is x_r0 y_0c + x_r1 y_1c, computed as the sum of two
-    broadcast outer products (column of x times row of y).  On stacks this
-    is several times faster than `@`, whose generic matmul loop dominates
-    at 2x2; the result is a new array.
+    The axes after the first two index the stack (the sites of a
+    `Field.buf` component) and broadcast; a single matrix meets a stack as
+    shape (2, 2, 1, ...).  Entry (r, c) is x_r0 y_0c + x_r1 y_1c, computed as
+    the sum of two broadcast outer products (column of x times row of y),
+    each a contiguous sweep over the stack when the operands are sites-last
+    buffers.  The result is a new array.
     """
-    return x[..., :, 0, None] * y[..., None, 0, :] + x[..., :, 1, None] * y[..., None, 1, :]
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
 
 
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:

@@ -3,8 +3,14 @@
 A connection (1-cochain) stores four 2x2 matrices per site, one per axis;
 a curvature (2-cochain) stores six, one per coordinate plane in the
 canonical order (12, 13, 14, 23, 24, 34); a gauge field (0-cochain) stores
-one group element per site.  Data lives in dense complex arrays of shape
-dims + (slots, 2, 2), sites in row-major order.
+one group element per site.
+
+Shape and memory order differ.  `Field.data` has shape dims + (slots, 2, 2)
+(rank 0: dims + (2, 2)), sites in row-major order.  It is a view of
+`Field.buf`, one C-contiguous array of shape (slots, 2, 2) + dims (rank 0:
+(2, 2) + dims): matrix entries outermost, so each entry of each slot is one
+contiguous run over the sites.  The kernels work on `buf`, where every
+whole-field operation is one contiguous sweep.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .algebra import identity
+from .algebra import BASIS, identity
 from .lattice import Window
 
 PLANES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -22,12 +28,26 @@ PLANE_INDEX = {p: n for n, p in enumerate(PLANES)}
 ALGEBRA_KINDS = ("su2", "sl2c", "general")
 
 
+# Axis orders from a sites-last array to its dims-first view and back, by ndim.
+_TO_SITES_FIRST = {n: tuple(range(n - 4, n)) + tuple(range(n - 4)) for n in range(4, 8)}
+_TO_SITES_LAST = {n: tuple(range(4, n)) + (0, 1, 2, 3) for n in range(4, 8)}
+
+
+def _sites_first(x: np.ndarray) -> np.ndarray:
+    return x.transpose(_TO_SITES_FIRST[x.ndim])
+
+
+def _sites_last(x: np.ndarray) -> np.ndarray:
+    return x.transpose(_TO_SITES_LAST[x.ndim])
+
+
 def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
     """Whole-field shifted read: out[k] = data[k + offsets].
 
     Periodic windows wrap by cached slice copies (`_periodic_blocks`); zero
     windows pad, filling reads outside the box with `fill` (default zeros).
-    The result is a new array.  The first four array axes index the site.
+    The result is a new array in the memory order of `data`.  The first
+    four array axes index the site.
     """
     offsets = tuple(int(o) for o in offsets)
     if window.boundary == "periodic":
@@ -52,6 +72,12 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     return out
 
 
+def shift_sites(x: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
+    """`shifted_read` of a sites-last array, such as a slot of `Field.buf`,
+    through its dims-first view; the result is sites-last too."""
+    return _sites_last(shifted_read(_sites_first(x), window, offsets, fill))
+
+
 @functools.lru_cache(maxsize=1024)
 def _periodic_blocks(dims: tuple, offsets: tuple) -> tuple:
     """(destination, source) slice tuples whose copies make a periodic read.
@@ -68,7 +94,11 @@ def _periodic_blocks(dims: tuple, offsets: tuple) -> tuple:
 
 
 class Field:
-    """Common storage and sitewise arithmetic for all cochain ranks."""
+    """Common storage and sitewise arithmetic for all cochain ranks.
+
+    The constructor copies `data` into `buf` only if its sites-last
+    transpose is not C-contiguous; otherwise `buf` shares its memory.
+    """
 
     rank: int
     slots: int
@@ -82,12 +112,22 @@ class Field:
         if algebra not in ALGEBRA_KINDS:
             raise ValueError(f"unknown algebra kind {algebra!r}")
         self.window = window
-        self.data = data
+        self.buf = np.ascontiguousarray(_sites_last(data))
         self.algebra = algebra
         self.metric = metric
 
-    def _like(self, data: np.ndarray) -> "Field":
-        return type(self)(self.window, data, algebra=self.algebra, metric=self.metric)
+    @property
+    def data(self) -> np.ndarray:
+        """Dims-first view of `buf`: shape dims + (slots, 2, 2)."""
+        return _sites_first(self.buf)
+
+    @classmethod
+    def _from_buf(cls, window: Window, buf: np.ndarray, algebra: str,
+                  metric: str | None = None) -> "Field":
+        return cls(window, _sites_first(buf), algebra=algebra, metric=metric)
+
+    def _like(self, buf: np.ndarray) -> "Field":
+        return self._from_buf(self.window, buf, self.algebra, self.metric)
 
     def _check_compatible(self, other: "Field") -> None:
         if not isinstance(other, Field) or other.rank != self.rank:
@@ -97,24 +137,24 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return self._like(self.data + other.data)
+        return self._like(self.buf + other.buf)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return self._like(self.data - other.data)
+        return self._like(self.buf - other.buf)
 
     def __mul__(self, c) -> "Field":
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return self._like(self.data * c)
+        return self._like(self.buf * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return self._like(-self.data)
+        return self._like(-self.buf)
 
     def copy(self) -> "Field":
-        return self._like(self.data.copy())
+        return self._like(self.buf.copy())
 
 
 class ConnectionField(Field):
@@ -125,7 +165,17 @@ class ConnectionField(Field):
 
     @classmethod
     def zeros(cls, window: Window, algebra: str = "su2") -> "ConnectionField":
-        return cls(window, np.zeros(window.dims + (4, 2, 2), dtype=complex), algebra)
+        return cls._from_buf(window, np.zeros((4, 2, 2) + window.dims, dtype=complex), algebra)
+
+    @classmethod
+    def from_coefficients(cls, window: Window, coeff: np.ndarray, algebra: str) -> "ConnectionField":
+        """Connection sum_a c_a l_a per (site, axis); coeff has shape
+        dims + (4, 3), real or complex.  The sum is written into the buffer
+        from a sites-last copy of coeff, so every operand sweeps contiguous
+        sites."""
+        buf = np.empty((4, 2, 2) + window.dims, dtype=complex)
+        np.einsum("sa...,aij->sij...", np.ascontiguousarray(_sites_last(coeff)), BASIS, out=buf)
+        return cls._from_buf(window, buf, algebra)
 
     def component(self, axis: int) -> np.ndarray:
         """Array view of component A^axis over all sites."""
@@ -142,7 +192,7 @@ class CurvatureField(Field):
 
     @classmethod
     def zeros(cls, window: Window, algebra: str = "general") -> "CurvatureField":
-        return cls(window, np.zeros(window.dims + (6, 2, 2), dtype=complex), algebra)
+        return cls._from_buf(window, np.zeros((6, 2, 2) + window.dims, dtype=complex), algebra)
 
     def plane(self, i: int, j: int) -> np.ndarray:
         """Array view of the F^{ij} slot, i < j canonical."""
@@ -159,14 +209,14 @@ class GaugeField(Field):
 
     @classmethod
     def identity(cls, window: Window, algebra: str = "su2") -> "GaugeField":
-        data = np.empty(window.dims + (2, 2), dtype=complex)
-        data[...] = identity()
-        return cls(window, data, algebra)
+        buf = np.empty((2, 2) + window.dims, dtype=complex)
+        buf[...] = identity()[:, :, None, None, None, None]
+        return cls._from_buf(window, buf, algebra)
 
 
 def max_entry(field: Field) -> float:
     """Largest entry magnitude over all sites and slots."""
-    return float(np.max(np.abs(field.data))) if field.data.size else 0.0
+    return float(np.max(np.abs(field.buf))) if field.buf.size else 0.0
 
 
 def diagonal_shift(field: Field, direction: str = "down") -> Field:
@@ -178,4 +228,4 @@ def diagonal_shift(field: Field, direction: str = "down") -> Field:
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     fill = identity() if isinstance(field, GaugeField) else None
-    return field._like(shifted_read(field.data, field.window, offsets, fill=fill))
+    return field._like(shift_sites(field.buf, field.window, offsets, fill=fill))

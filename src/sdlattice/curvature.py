@@ -20,7 +20,7 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     GaugeField,
-    shifted_read,
+    shift_sites,
 )
 from .lattice import Window
 
@@ -32,17 +32,18 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) ->
 
     Offsets compose on Z^4 before the boundary mode resolves them, matching
     the printed composite subscripts (e.g. A^4 at sigma_34 k + e_3 reads at
-    sigma_4 k); `base=0` gives the F^{ij} slot of `curvature`.
+    sigma_4 k); `base=0` gives the F^{ij} slot of `curvature`.  The result
+    is sites-last, shape (2, 2) + dims, like one slot of `Field.buf`.
     """
     w = conn.window
-    ai, aj = conn.component(i), conn.component(j)
-    if any(base):
-        ai, aj = shifted_read(ai, w, base), shifted_read(aj, w, base)
+    ai, aj = conn.buf[i - 1], conn.buf[j - 1]
     up_i, up_j = list(base), list(base)
     up_i[i - 1] += 1
     up_j[j - 1] += 1
-    aj_up_i = shifted_read(conn.component(j), w, up_i)
-    ai_up_j = shifted_read(conn.component(i), w, up_j)
+    aj_up_i = shift_sites(aj, w, up_i)
+    ai_up_j = shift_sites(ai, w, up_j)
+    if any(base):
+        ai, aj = shift_sites(ai, w, base), shift_sites(aj, w, base)
     # accumulated in place, left to right as printed
     out = aj_up_i - aj
     out -= ai_up_j - ai
@@ -56,8 +57,8 @@ def curvature(conn: ConnectionField) -> CurvatureField:
     # product terms leave su(2)/sl(2,C), so curvature values are general
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
-    for i, j in PLANES:
-        out.plane(i, j)[...] = plane_curvature(conn, i, j)
+    for n, (i, j) in enumerate(PLANES):
+        out.buf[n] = plane_curvature(conn, i, j)
     return out
 
 
@@ -73,17 +74,18 @@ def pure_gauge(gauge: GaugeField) -> ConnectionField:
     calculus, so flatness is not asserted as an invariant here.
     """
     w = gauge.window
-    g = gauge.data
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    g = gauge.buf
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(np.abs(det) < 1e-14):
         raise ValueError("singular gauge element (|det| < 1e-14)")
-    g_inv = np.linalg.inv(g)
+    # np.linalg.inv wants the matrices last: invert the dims-first view
+    g_inv = np.linalg.inv(gauge.data).transpose(4, 5, 0, 1, 2, 3)
     out = ConnectionField.zeros(w, algebra="general")
     for j in (1, 2, 3, 4):
         offsets = [0, 0, 0, 0]
         offsets[j - 1] = 1
-        g_up = shifted_read(g, w, offsets, fill=algebra.identity())
-        out.component(j)[...] = -algebra.mul(g_up - g, g_inv)
+        g_up = shift_sites(g, w, offsets, fill=algebra.identity())
+        out.buf[j - 1] = -algebra.mul(g_up - g, g_inv)
     return out
 
 
@@ -115,7 +117,7 @@ def random_connection(window: Window, algebra_kind: str, seed, scale: float = 1.
     """
     rng = algebra.as_rng(seed)
     coeff = algebra.random_coefficients(rng, algebra_kind, scale, window.dims + (4,))
-    return ConnectionField(window, algebra.from_coefficients(coeff), algebra=algebra_kind)
+    return ConnectionField.from_coefficients(window, coeff, algebra_kind)
 
 
 def random_gauge(window: Window, group_kind: str, seed) -> GaugeField:

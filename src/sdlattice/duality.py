@@ -72,13 +72,13 @@ def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
     a, b = problem.coefficients
     # b *F is scaled in place, so a F is the only other full-size temporary.
     out = star(field, problem.metric)
-    out.data *= b
-    out.data += a * field.data
+    out.buf *= b
+    out.buf += a * field.buf
     return out
 
 
 def scalar_residual(field: CurvatureField, problem: DualityProblem) -> float:
-    return float(np.linalg.norm(residual(field, problem).data))
+    return float(np.linalg.norm(residual(field, problem).buf))
 
 
 def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> CurvatureField:
@@ -94,14 +94,14 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     a, b = problem.coefficients
     out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
     out.metric = problem.metric
-    for plane in PLANES:
+    for n, plane in enumerate(PLANES):
         source = complement_plane(plane)
         base_src = [0, 0, 0, 0]
         base_src[source[0] - 1] = -1
         base_src[source[1] - 1] = -1
         own = plane_curvature(conn, *plane)
         other = table.sign(source) * plane_curvature(conn, *source, base=base_src)
-        out.plane(*plane)[...] = a * own + b * other
+        out.buf[n] = a * own + b * other
     return out
 
 

@@ -76,9 +76,10 @@ def save(field: Field, path) -> None:
 
 
 def load(path) -> Field:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -132,10 +133,12 @@ def load(path) -> Field:
         raise FieldFormatError("data entries must be [re, im] pairs")
     if not np.all(np.isfinite(pairs)):
         raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
-    # JSON true/false convert to 1.0/0.0, so only those entries need a look.
-    suspects = np.flatnonzero(((pairs == 0.0) | (pairs == 1.0)).any(axis=1)).tolist()
-    if any(type(x) is bool for i in suspects for x in raw[i]):
-        raise FieldFormatError("data entries must be numbers, not booleans")
+    # JSON true/false convert to 1.0/0.0, so only those entries need a look,
+    # and only when the text holds such a token at all.
+    if "true" in text or "false" in text:
+        suspects = np.flatnonzero(((pairs == 0.0) | (pairs == 1.0)).any(axis=1)).tolist()
+        if any(type(x) is bool for i in suspects for x in raw[i]):
+            raise FieldFormatError("data entries must be numbers, not booleans")
     # A view keeps every bit; re + 1j*im can drop the sign of a zero part.
     values = pairs.view(complex)
     shape = tuple(dims) + ((cls.slots, 2, 2) if cls.slots else (2, 2))

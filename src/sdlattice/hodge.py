@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochain import PLANES, CurvatureField, shifted_read
+from .cochain import PLANE_INDEX, CurvatureField, shift_sites
 from .lattice import Index
 
 _EUCLID_SIGNS = {
@@ -106,8 +106,8 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
         offsets = [0, 0, 0, 0]
         offsets[shift[0] - 1] = -1
         offsets[shift[1] - 1] = -1
-        out.plane(*target)[...] = sign * shifted_read(
-            field.plane(*source), field.window, offsets
+        out.buf[PLANE_INDEX[target]] = sign * shift_sites(
+            field.buf[PLANE_INDEX[source]], field.window, offsets
         )
     return out
 

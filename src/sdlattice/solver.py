@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, MEMBERSHIP, dagger, from_coefficients, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, diagonal_shift, shifted_read
+from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
+from .cochain import PLANES, ConnectionField, diagonal_shift, shift_sites
 from .curvature import curvature
 from .duality import DualityProblem, residual
 from .hodge import star, star_table
@@ -95,7 +95,7 @@ def objective(conn: ConnectionField, problem: DualityProblem) -> float:
 
 def _objective_and_residual(conn: ConnectionField, problem: DualityProblem):
     res = residual(curvature(conn), problem)
-    return float(np.sum(np.abs(res.data) ** 2)), res
+    return float(np.sum(np.abs(res.buf) ** 2)), res
 
 
 def connection_coefficients(conn: ConnectionField) -> np.ndarray:
@@ -104,7 +104,8 @@ def connection_coefficients(conn: ConnectionField) -> np.ndarray:
     if conn.algebra == "su2":
         return np.ascontiguousarray(c.real)
     if conn.algebra == "sl2c":
-        return np.concatenate([c.real, c.imag], axis=-1)
+        # c has the buffer's memory order; out= keeps the coordinates C-order
+        return np.concatenate([c.real, c.imag], axis=-1, out=np.empty(c.shape[:-1] + (6,)))
     raise ValueError("solver requires an su2 or sl2c connection")
 
 
@@ -113,13 +114,11 @@ def connection_from_coefficients(
 ) -> ConnectionField:
     """Inverse of connection_coefficients."""
     coeff = np.asarray(coeff, dtype=float)
-    if algebra_kind == "su2":
-        data = from_coefficients(coeff)
-    elif algebra_kind == "sl2c":
-        data = from_coefficients(coeff[..., :3] + 1j * coeff[..., 3:])
-    else:
+    if algebra_kind == "sl2c":
+        coeff = coeff[..., :3] + 1j * coeff[..., 3:]
+    elif algebra_kind != "su2":
         raise ValueError("solver requires an su2 or sl2c connection")
-    return ConnectionField(window, data, algebra=algebra_kind)
+    return ConnectionField.from_coefficients(window, coeff, algebra_kind)
 
 
 def gradient_coefficients(conn: ConnectionField, problem: DualityProblem) -> np.ndarray:
@@ -132,12 +131,12 @@ def gradient_coefficients(conn: ConnectionField, problem: DualityProblem) -> np.
 
 
 def _coefficient_gradient(g_slots: np.ndarray, algebra_kind: str) -> np.ndarray:
-    """Project matrix gradients onto the real coordinates of the algebra."""
-    z = np.einsum("...ij,aij->...a", g_slots.conj(), BASIS)
+    """Project sites-last matrix gradients onto the real coordinates of the algebra."""
+    z = np.einsum("sij...,aij->...sa", g_slots.conj(), BASIS)
     if algebra_kind == "su2":
         return np.ascontiguousarray(z.real)
     if algebra_kind == "sl2c":
-        return np.concatenate([z.real, -z.imag], axis=-1)
+        return np.concatenate([z.real, -z.imag], axis=-1, out=np.empty(z.shape[:-1] + (6,)))
     raise ValueError("solver requires an su2 or sl2c connection")
 
 
@@ -147,7 +146,8 @@ def _require_periodic(window: Window) -> None:
 
 
 def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None) -> np.ndarray:
-    """dR as 2x2 matrices per (site, axis): dR = Re sum conj(G) dA entrywise.
+    """dR as 2x2 matrices per (axis, site), sites last like `conn.buf`:
+    dR = Re sum conj(G) dA entrywise.
 
     res, if given, is residual(curvature(conn), problem), reused as is."""
     _require_periodic(conn.window)
@@ -161,25 +161,26 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     # term is taken first, while no other full-size temporary is alive, and
     # scaled in place.
     a, b = problem.coefficients
-    g_f = diagonal_shift(star(res, problem.metric), "up").data
+    g_f = diagonal_shift(star(res, problem.metric), "up").buf
     g_f *= b.conjugate() * star_table(problem.metric).square_sign
-    g_f += a.conjugate() * res.data
+    g_f += a.conjugate() * res.buf
     g_f *= 2.0
 
-    # A^dag once per component; a shifted dagger is the dagger of the shift
-    dag = {i: dagger(conn.component(i)) for i in (1, 2, 3, 4)}
-    grad = np.zeros_like(conn.data)
+    # A^dag once per component (entries are the first two axes); a shifted
+    # dagger is the dagger of the shift
+    dag = {i: np.conj(conn.buf[i - 1].swapaxes(0, 1)) for i in (1, 2, 3, 4)}
+    grad = np.zeros_like(conn.buf)
 
     def up(arr, axis, step=1):
-        return shifted_read(arr, w, [step * (k == axis) for k in (1, 2, 3, 4)])
+        return shift_sites(arr, w, [step * (k == axis) for k in (1, 2, 3, 4)])
 
     def down(arr, axis):
         return up(arr, axis, -1)
 
     for n, (i, j) in enumerate(PLANES):
-        g = g_f[..., n, :, :]
-        gi = grad[..., i - 1, :, :]
-        gj = grad[..., j - 1, :, :]
+        g = g_f[n]
+        gi = grad[i - 1]
+        gj = grad[j - 1]
         # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
         # difference term and the product term's shifted factor pull back
         # through the same down-shift into the same component: one read each.

@@ -131,7 +131,9 @@ def test_group_membership():
 
 
 def random_stack(rng, shape):
-    return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    """Random complex matrices stacked entries-first, shape (2, 2) + shape."""
+    x = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return np.moveaxis(x, (-2, -1), (0, 1))
 
 
 def test_mul_matches_matmul_per_matrix():
@@ -140,8 +142,8 @@ def test_mul_matches_matmul_per_matrix():
     p = al.mul(x, y)
     assert p.shape == x.shape
     for idx in np.ndindex(3, 2, 4):
-        ref = x[idx] @ y[idx]
-        assert np.max(np.abs(p[idx] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        ref = x[(...,) + idx] @ y[(...,) + idx]
+        assert np.max(np.abs(p[(...,) + idx] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_mul_is_bitwise_the_entrywise_formula():
@@ -150,18 +152,18 @@ def test_mul_is_bitwise_the_entrywise_formula():
     p = al.mul(x, y)
     for r in (0, 1):
         for c in (0, 1):
-            entry = x[..., r, 0] * y[..., 0, c] + x[..., r, 1] * y[..., 1, c]
-            assert np.array_equal(p[..., r, c], entry)
+            entry = x[r, 0] * y[0, c] + x[r, 1] * y[1, c]
+            assert np.array_equal(p[r, c], entry)
 
 
 def test_mul_broadcasts_one_matrix_against_a_stack():
     rng = np.random.default_rng(14)
     m, stack = random_stack(rng, ()), random_stack(rng, (4, 3))
-    left, right = al.mul(m, stack), al.mul(stack, m)
-    assert left.shape == right.shape == (4, 3, 2, 2)
+    left, right = al.mul(m[..., None, None], stack), al.mul(stack, m[..., None, None])
+    assert left.shape == right.shape == (2, 2, 4, 3)
     for idx in np.ndindex(4, 3):
-        assert np.array_equal(left[idx], al.mul(m, stack[idx]))
-        assert np.array_equal(right[idx], al.mul(stack[idx], m))
+        assert np.array_equal(left[(...,) + idx], al.mul(m, stack[(...,) + idx]))
+        assert np.array_equal(right[(...,) + idx], al.mul(stack[(...,) + idx], m))
 
 
 def test_mul_returns_a_fresh_array():

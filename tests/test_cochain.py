@@ -16,8 +16,24 @@ from sdlattice.cochain import (
     max_entry,
     shifted_read,
 )
-from sdlattice.curvature import constant_connection, random_connection
+from sdlattice.curvature import (
+    constant_connection,
+    curvature,
+    diag_invariant_slice,
+    pure_gauge,
+    random_connection,
+    random_gauge,
+)
+from sdlattice.duality import (
+    DualityProblem,
+    residual,
+    residual_componentwise,
+    synthetic_dual_curvature,
+)
+from sdlattice.fieldio import load, save
+from sdlattice.hodge import star
 from sdlattice.lattice import Window
+from sdlattice.solver import SolveConfig, solve
 
 
 def delta_field(a, diff_axis, comp_axis):
@@ -188,3 +204,57 @@ def test_diagonal_shift_round_trip():
     assert np.array_equal(back.data, f.data)
     with pytest.raises(ValueError):
         diagonal_shift(f, "left")
+
+
+def assert_buffer_layout(f):
+    """f owns a C-contiguous (slots, 2, 2) + dims buffer and .data views it."""
+    entries = (f.slots, 2, 2) if f.slots else (2, 2)
+    assert f.buf.shape == entries + f.window.dims
+    assert f.buf.flags.c_contiguous
+    assert f.data.shape == f.window.dims + entries
+    assert np.shares_memory(f.data, f.buf)
+
+
+def test_every_returned_field_has_a_c_contiguous_sites_last_buffer(tmp_path):
+    for dims in ((3, 1, 2, 2), (2, 2, 2, 2)):
+        for boundary in ("periodic", "zero"):
+            w = Window(dims, boundary)
+            a = random_connection(w, "sl2c", seed=3, scale=0.3)
+            g = random_gauge(w, "su2", seed=4)
+            f = curvature(a)
+            problem = DualityProblem("mink", "self_dual")
+            fields = [
+                ConnectionField.zeros(w), CurvatureField.zeros(w), GaugeField.identity(w),
+                a, g, pure_gauge(g), f, star(f, "mink"), residual(f, problem),
+                residual_componentwise(a, problem),
+                diagonal_shift(a), diagonal_shift(f, "up"), diagonal_shift(g),
+                a + a, f - f, 2.0 * f, f * 1j, -g, a.copy(),
+            ]
+            if boundary == "periodic":
+                slice12 = diag_invariant_slice(w, seed=5)
+                fields.append(synthetic_dual_curvature(slice12, "euclid", w))
+                fields.append(solve(a, SolveConfig(problem, max_iter=2))[0])
+            for n, field in enumerate(fields):
+                assert_buffer_layout(field)
+                save(field, tmp_path / f"f{n}.field")
+                assert_buffer_layout(load(tmp_path / f"f{n}.field"))
+
+
+def test_field_from_c_order_array_keeps_values_and_writes_land():
+    w = Window((3, 2, 1, 2))
+    rng = np.random.default_rng(6)
+    raw = rng.normal(size=w.dims + (4, 2, 2)) + 1j * rng.normal(size=w.dims + (4, 2, 2))
+    raw[raw.real > 1.0] = complex(-0.0, -0.0)
+    a = ConnectionField(w, raw)
+    assert_buffer_layout(a)
+    assert np.ascontiguousarray(a.data).tobytes() == raw.tobytes()
+    # a dims-first view of another field's buffer is taken without a copy
+    assert np.shares_memory(ConnectionField(w, a.data).buf, a.buf)
+    m = basis(2)
+    a.component(3)[2, 1, 0, 1] = m
+    assert np.array_equal(a.buf[2, :, :, 2, 1, 0, 1], m)
+    assert np.array_equal(a.data[2, 1, 0, 1, 2], m)
+    f = CurvatureField.zeros(w)
+    f.plane(2, 4)[...] = m
+    assert np.array_equal(f.buf[4], np.broadcast_to(m[:, :, None, None, None, None], (2, 2) + w.dims))
+    assert max_entry(f) == np.max(np.abs(m))

@@ -27,11 +27,13 @@ DATA = Path(__file__).resolve().parent / "data"
 def _signed_zeros(w):
     # +-0.0 in both the real and the imaginary part of neighbouring entries
     f = CurvatureField.zeros(w)
-    flat = f.data.reshape(-1)
+    values = np.empty(f.data.shape, dtype=complex)
+    flat = values.reshape(-1)
     flat[0::4] = complex(-0.0, 0.0)
     flat[1::4] = complex(0.0, -0.0)
     flat[2::4] = complex(-0.0, -0.0)
     flat[3::4] = 0.5 - 0.0j
+    f.data[...] = values
     return f
 
 
@@ -74,9 +76,10 @@ def test_save_reproduces_golden_bytes(tmp_path, name):
 def test_non_contiguous_data_saves_like_its_contiguous_copy(tmp_path):
     f = random_curvature(Window((2, 3, 1, 2)), seed=4)
     rev = (slice(None, None, -1),) * f.data.ndim
-    g = CurvatureField(f.window, np.ascontiguousarray(f.data[rev])[rev])
+    reversed_data = np.ascontiguousarray(f.data[rev])[rev]
     # a fully reversed array flattens to a view with a negative stride
-    assert g.data.reshape(-1).strides == (-g.data.itemsize,)
+    assert reversed_data.reshape(-1).strides == (-reversed_data.itemsize,)
+    g = CurvatureField(f.window, reversed_data)
     save(f, tmp_path / "a.field")
     save(g, tmp_path / "b.field")
     assert (tmp_path / "a.field").read_bytes() == (tmp_path / "b.field").read_bytes()

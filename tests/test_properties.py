@@ -1,4 +1,5 @@
-"""Property tests of the exact identities on random periodic windows.
+"""Property tests of the exact identities on random periodic windows, and
+of the shifted read against an index reference on periodic and zero ones.
 
 The seeded checks run on cubic windows; here every axis has 1 to 5 sites,
 so windows are mostly non-cubic and include one-site axes.  Examples are
@@ -18,13 +19,20 @@ from sdlattice.checks import (
     check_prop2,
     check_relation_13,
 )
-from sdlattice.cochain import diagonal_shift
+from sdlattice.cochain import (
+    ConnectionField,
+    CurvatureField,
+    GaugeField,
+    diagonal_shift,
+    shifted_read,
+)
 from sdlattice.curvature import diag_invariant_slice
 from sdlattice.duality import residual, synthetic_dual_curvature
 from sdlattice.hodge import star
 from sdlattice.lattice import Window
 
 DIMS = st.tuples(*[st.integers(1, 5)] * 4)
+OFFSETS = st.tuples(*[st.integers(-5, 5)] * 4)
 SEEDS = st.integers(0, 2**31 - 1)
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -75,3 +83,44 @@ def test_star_adjoint_is_signed_diagonal_up_shift_of_star(dims, seed):
         lhs = np.vdot(star(x, metric).data, y.data).real
         rhs = np.vdot(x.data, s * diagonal_shift(star(y, metric), "up").data).real
         assert abs(lhs - rhs) <= bound
+
+
+def reference_read(data, window, offsets, fill=None):
+    """out[k] = data[k + offsets] by np.roll (periodic) or modular indexing
+    with the reads outside the box set to `fill` (zero windows)."""
+    if window.boundary == "periodic":
+        return np.roll(data, [-o for o in offsets], axis=(0, 1, 2, 3))
+    out = np.zeros_like(data) if fill is None else np.broadcast_to(fill, data.shape).copy()
+    src = np.meshgrid(*(np.arange(n) + o for n, o in zip(window.dims, offsets)), indexing="ij")
+    inside = np.logical_and.reduce([(k >= 0) & (k < n) for k, n in zip(src, window.dims)])
+    out[inside] = data[tuple(k[inside] for k in src)]
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.tuples(*[st.integers(1, 4)] * 4),
+    OFFSETS,
+    st.sampled_from(["periodic", "zero"]),
+    st.sampled_from([GaugeField, ConnectionField, CurvatureField]),
+    st.booleans(),
+    st.booleans(),
+    SEEDS,
+)
+def test_shifted_read_matches_roll_and_modular_index_reference(
+    dims, offsets, boundary, cls, field_view, with_fill, seed
+):
+    # raw C-order arrays and Field.data views (dims-first views of a
+    # sites-last buffer) must read alike, zero signs included
+    w = Window(dims, boundary)
+    rng = np.random.default_rng(seed)
+    shape = dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    raw[raw.real > 1.0] = complex(-0.0, -0.0)
+    data = cls(w, raw).data if field_view else raw
+    fill = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if with_fill else None
+    out = shifted_read(data, w, offsets, fill=fill)
+    expected = reference_read(raw, w, offsets, fill)
+    assert out.shape == shape
+    assert not np.shares_memory(out, data)
+    assert np.ascontiguousarray(out).tobytes() == expected.tobytes()

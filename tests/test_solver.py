@@ -161,9 +161,9 @@ def test_gradient_read_budget(monkeypatch):
     def no_roll(*args, **kwargs):
         raise AssertionError("np.roll called")
 
-    # sys.modules: the package namespace re-exports `curvature` the function
-    for name in ("solver", "curvature", "hodge", "cochain"):
-        monkeypatch.setattr(sys.modules[f"sdlattice.{name}"], "shifted_read", counted)
+    # every read, the kernels' shift_sites included, resolves shifted_read in
+    # the cochain module (sys.modules: the package re-exports names)
+    monkeypatch.setattr(sys.modules["sdlattice.cochain"], "shifted_read", counted)
     monkeypatch.setattr(np, "roll", no_roll)
     w = Window((3, 3, 3, 3), "periodic")
     a = random_connection(w, "su2", seed=8, scale=0.3)
@@ -362,7 +362,7 @@ def test_solve_stops_at_a_stationary_point(monkeypatch):
     w = Window((2, 2, 2, 2), "periodic")
     a0 = random_connection(w, "su2", seed=0, scale=0.1)
     monkeypatch.setattr(solver, "_gradient_matrices",
-                        lambda conn, problem, res=None: np.zeros_like(conn.data))
+                        lambda conn, problem, res=None: np.zeros_like(conn.buf))
     _, report = solve(a0, SolveConfig(EUCLID_SD))
     assert report.stop_reason == "stationary"
     assert not report.converged
@@ -379,3 +379,13 @@ def test_fused_gradient_is_bitwise_the_public_gradient(kind, problem):
     fused = solver._coefficient_gradient(solver._gradient_matrices(a, problem, res), kind)
     assert obj == objective(a, problem)
     assert np.array_equal(fused, gradient_coefficients(a, problem))
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+def test_coordinate_arrays_are_c_order(kind):
+    # the L-BFGS sums walk memory order, so coordinates keep the C order of
+    # dims + (4, n) whatever the order of the field buffer they come from
+    a = random_connection(Window((3, 2, 1, 2), "periodic"), kind, seed=2, scale=0.3)
+    for coeff in (connection_coefficients(a), gradient_coefficients(a, EUCLID_SD)):
+        assert coeff.shape == a.window.dims + (4, 3 if kind == "su2" else 6)
+        assert coeff.flags.c_contiguous
