@@ -10,7 +10,9 @@ Shape and memory order differ.  `Field.data` has shape dims + (slots, 2, 2)
 `Field.buf`, one C-contiguous array of shape (slots, 2, 2) + dims (rank 0:
 (2, 2) + dims): matrix entries outermost, so each entry of each slot is one
 contiguous run over the sites.  The kernels work on `buf`, where every
-whole-field operation is one contiguous sweep.
+whole-field operation is one contiguous sweep; their one site read,
+`shifted_read`, takes any array whose last four axes are the sites, such
+as `buf` or one of its slots.
 """
 from __future__ import annotations
 
@@ -42,26 +44,31 @@ def _sites_last(x: np.ndarray) -> np.ndarray:
 
 
 def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
-    """Whole-field shifted read: out[k] = data[k + offsets].
+    """Whole-field shifted read over the trailing site axes:
+    out[..., k] = data[..., k + offsets].
 
-    Periodic windows wrap by cached slice copies (`_periodic_blocks`); zero
-    windows pad, filling reads outside the box with `fill` (default zeros).
-    The result is a new array in the memory order of `data`.  The first
-    four array axes index the site.
+    The last four axes of `data` are the sites (`Field.buf`, or one of its
+    slots); any leading axes are carried along.  Periodic windows wrap by
+    cached slice copies (`_periodic_blocks`); zero windows pad, filling
+    reads outside the box with `fill` (default zeros), a 2x2 matrix
+    broadcast over the sites.  The result is a new array in the memory
+    order of `data`.  Raises ValueError if the last four axes of `data` are
+    not the window dims.
     """
-    offsets = tuple(int(o) for o in offsets)
+    if data.shape[-4:] != window.dims:
+        raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
     if window.boundary == "periodic":
         out = np.empty_like(data)
-        for dst, src in _periodic_blocks(window.dims, offsets):
+        for dst, src in _periodic_blocks(window.dims, tuple(offsets)):
             out[dst] = data[src]
         return out
     if fill is None:
         out = np.zeros_like(data)
     else:
         out = np.empty_like(data)
-        out[...] = fill
-    src = []
-    dst = []
+        out[...] = np.asarray(fill)[..., None, None, None, None]
+    src = [Ellipsis]
+    dst = [Ellipsis]
     for n, off in zip(window.dims, offsets):
         lo, hi = max(0, -off), min(n, n - off)
         if lo >= hi:
@@ -72,20 +79,15 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     return out
 
 
-def shift_sites(x: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
-    """`shifted_read` of a sites-last array, such as a slot of `Field.buf`,
-    through its dims-first view; the result is sites-last too."""
-    return _sites_last(shifted_read(_sites_first(x), window, offsets, fill))
-
-
 @functools.lru_cache(maxsize=1024)
 def _periodic_blocks(dims: tuple, offsets: tuple) -> tuple:
-    """(destination, source) slice tuples whose copies make a periodic read.
+    """(destination, source) index tuples, an Ellipsis then one slice per
+    site axis, whose copies make a periodic read.
 
     Along an axis shifted by s = offset mod n > 0, sites [0, n - s) read
     [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
     """
-    blocks = [((), ())]
+    blocks = [((...,), (...,))]
     for n, off in zip(dims, offsets):
         s = off % n
         pairs = ((slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s)))[: 2 if s else 1]
@@ -228,4 +230,4 @@ def diagonal_shift(field: Field, direction: str = "down") -> Field:
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     fill = identity() if isinstance(field, GaugeField) else None
-    return field._like(shift_sites(field.buf, field.window, offsets, fill=fill))
+    return field._like(shifted_read(field.buf, field.window, offsets, fill=fill))

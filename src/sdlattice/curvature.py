@@ -20,7 +20,7 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     GaugeField,
-    shift_sites,
+    shifted_read,
 )
 from .lattice import Window
 
@@ -40,10 +40,10 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) ->
     up_i, up_j = list(base), list(base)
     up_i[i - 1] += 1
     up_j[j - 1] += 1
-    aj_up_i = shift_sites(aj, w, up_i)
-    ai_up_j = shift_sites(ai, w, up_j)
+    aj_up_i = shifted_read(aj, w, up_i)
+    ai_up_j = shifted_read(ai, w, up_j)
     if any(base):
-        ai, aj = shift_sites(ai, w, base), shift_sites(aj, w, base)
+        ai, aj = shifted_read(ai, w, base), shifted_read(aj, w, base)
     # accumulated in place, left to right as printed
     out = aj_up_i - aj
     out -= ai_up_j - ai
@@ -82,9 +82,7 @@ def pure_gauge(gauge: GaugeField) -> ConnectionField:
     g_inv = np.linalg.inv(gauge.data).transpose(4, 5, 0, 1, 2, 3)
     out = ConnectionField.zeros(w, algebra="general")
     for j in (1, 2, 3, 4):
-        offsets = [0, 0, 0, 0]
-        offsets[j - 1] = 1
-        g_up = shift_sites(g, w, offsets, fill=algebra.identity())
+        g_up = shifted_read(g, w, tuple(int(k == j) for k in (1, 2, 3, 4)), fill=algebra.identity())
         out.buf[j - 1] = -algebra.mul(g_up - g, g_inv)
     return out
 

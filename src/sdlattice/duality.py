@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochain import (
+    PLANE_INDEX,
     PLANES,
     ConnectionField,
     CurvatureField,
@@ -28,7 +29,7 @@ from .cochain import (
     shifted_read,
 )
 from .curvature import plane_curvature
-from .hodge import METRICS, complement_plane, star, star_table
+from .hodge import METRICS, star, star_table
 from .lattice import Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
@@ -90,18 +91,14 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     paths differ near the boundary because composite shift subscripts are
     resolved before zero-padding.
     """
-    table = star_table(problem.metric)
     a, b = problem.coefficients
     out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
     out.metric = problem.metric
-    for n, plane in enumerate(PLANES):
-        source = complement_plane(plane)
-        base_src = [0, 0, 0, 0]
-        base_src[source[0] - 1] = -1
-        base_src[source[1] - 1] = -1
-        own = plane_curvature(conn, *plane)
-        other = table.sign(source) * plane_curvature(conn, *source, base=base_src)
-        out.buf[n] = a * own + b * other
+    # one star move per plane: its source curvature read at the move's offsets
+    for source, target, sign, offsets in star_table(problem.metric).moves:
+        own = plane_curvature(conn, *PLANES[target])
+        other = sign * plane_curvature(conn, *PLANES[source], base=offsets)
+        out.buf[target] = a * own + b * other
     return out
 
 
@@ -125,14 +122,14 @@ def synthetic_dual_curvature(
     slice12 = np.asarray(slice12, dtype=complex)
     if slice12.shape != window.dims + (2, 2):
         raise ValueError(f"slice shape {slice12.shape} != {window.dims + (2, 2)}")
-    shifted = shifted_read(slice12, window, (-1, -1, -1, -1))
-    if not np.array_equal(slice12, shifted):
-        raise ValueError("generator slice is not diagonal-shift invariant")
     out = CurvatureField.zeros(window, algebra="general")
     out.metric = metric
     out.plane(1, 2)[...] = slice12
+    g = out.buf[PLANE_INDEX[(1, 2)]]  # the sites-last view of slice12 that shifted_read takes
+    if not np.array_equal(g, shifted_read(g, window, (-1, -1, -1, -1))):
+        raise ValueError("generator slice is not diagonal-shift invariant")
     companion = -b * star_table(metric).sign((1, 2)) / a
-    out.plane(3, 4)[...] = companion * shifted_read(slice12, window, (-1, -1, 0, 0))
+    out.buf[PLANE_INDEX[(3, 4)]] = companion * shifted_read(g, window, (-1, -1, 0, 0))
     return out
 
 

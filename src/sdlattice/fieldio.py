@@ -69,7 +69,8 @@ def save(field: Field, path) -> None:
     }
     # json.dumps runs the C encoder (json.dump streams through the Python
     # one); encoding before the open leaves no partial file on a failure.
-    text = json.dumps(doc)
+    # The document holds only fresh lists, so no cycle check is needed.
+    text = json.dumps(doc, check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

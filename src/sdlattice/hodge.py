@@ -15,9 +15,12 @@ minus sign in the Minkowski case.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .cochain import PLANE_INDEX, CurvatureField, shift_sites
+import numpy as np
+
+from .cochain import PLANE_INDEX, CurvatureField, shifted_read
 from .lattice import Index
 
 _EUCLID_SIGNS = {
@@ -56,7 +59,7 @@ class StarTable:
     def target(self, source_plane: tuple[int, int]) -> tuple[int, int]:
         return complement_plane(source_plane)
 
-    @property
+    @functools.cached_property
     def square_sign(self) -> int:
         """epsilon in ** = epsilon (diagonal down-shift): +1 euclid, -1 mink.
 
@@ -69,6 +72,17 @@ class StarTable:
         """(source, target, sign, shift_plane) rows, one per source plane."""
         for plane, s in self.signs:
             yield plane, complement_plane(plane), s, plane
+
+    @functools.cached_property
+    def moves(self) -> tuple:
+        """`entries` as buffer moves, built once: (source slot, target slot,
+        sign, offsets) rows, offsets -1 on the source plane's axes.  Slot
+        `target` of the star is `sign` times slot `source` read at `offsets`."""
+        return tuple(
+            (PLANE_INDEX[source], PLANE_INDEX[target], sign,
+             tuple(-1 if axis in shift else 0 for axis in (1, 2, 3, 4)))
+            for source, target, sign, shift in self.entries()
+        )
 
 
 EUCLID_TABLE = StarTable("euclid", tuple(_EUCLID_SIGNS.items()))
@@ -99,17 +113,11 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
     On periodic windows every identity below is exact; zero windows read
     missing neighbors as zero.
     """
-    table = star_table(metric)
-    out = CurvatureField.zeros(field.window, algebra=field.algebra)
-    out.metric = metric
-    for source, target, sign, shift in table.entries():
-        offsets = [0, 0, 0, 0]
-        offsets[shift[0] - 1] = -1
-        offsets[shift[1] - 1] = -1
-        out.buf[PLANE_INDEX[target]] = sign * shift_sites(
-            field.buf[PLANE_INDEX[source]], field.window, offsets
-        )
-    return out
+    w = field.window
+    buf = np.empty_like(field.buf)
+    for source, target, sign, offsets in star_table(metric).moves:
+        np.multiply(shifted_read(field.buf[source], w, offsets), sign, out=buf[target])
+    return CurvatureField._from_buf(w, buf, field.algebra, metric)
 
 
 def double_star(field: CurvatureField, metric: str) -> CurvatureField:

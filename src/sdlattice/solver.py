@@ -26,14 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, diagonal_shift, shift_sites
+from .cochain import PLANES, ConnectionField, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
-from .hodge import star, star_table
+from .hodge import star_table
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
 LBFGS_MEMORY = 10
+
+# Unit read offsets +e_i and -e_i per axis i, and +1 on both axes of each plane slot.
+_UP = {i: tuple(int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
+_DOWN = {i: tuple(-int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
+_PLANE_UP = tuple(tuple(int(k in plane) for k in (1, 2, 3, 4)) for plane in PLANES)
 
 
 @dataclass
@@ -157,12 +162,15 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     # Adjoint of the residual operator a F + b S F applied to the residual
     # itself: 2 (conj(a) res + conj(b) S^T res).  The star S is a signed
     # permutation, so S^T = S^-1 = epsilon tau S by the double-star identity
-    # (epsilon = +1 euclid, -1 mink; tau the diagonal up-shift).  The star
-    # term is taken first, while no other full-size temporary is alive, and
-    # scaled in place.
+    # (epsilon = +1 euclid, -1 mink; tau the diagonal up-shift): each star
+    # move read at the composed offset, +1 on the target plane's axes,
+    # straight into the target slot, then scaled in place.
     a, b = problem.coefficients
-    g_f = diagonal_shift(star(res, problem.metric), "up").buf
-    g_f *= b.conjugate() * star_table(problem.metric).square_sign
+    table = star_table(problem.metric)
+    g_f = np.empty_like(res.buf)
+    for source, target, sign, _ in table.moves:
+        np.multiply(shifted_read(res.buf[source], w, _PLANE_UP[target]), sign, out=g_f[target])
+    g_f *= b.conjugate() * table.square_sign
     g_f += a.conjugate() * res.buf
     g_f *= 2.0
 
@@ -171,12 +179,6 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     dag = {i: np.conj(conn.buf[i - 1].swapaxes(0, 1)) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.buf)
 
-    def up(arr, axis, step=1):
-        return shift_sites(arr, w, [step * (k == axis) for k in (1, 2, 3, 4)])
-
-    def down(arr, axis):
-        return up(arr, axis, -1)
-
     for n, (i, j) in enumerate(PLANES):
         g = g_f[n]
         gi = grad[i - 1]
@@ -184,10 +186,10 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
         # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
         # difference term and the product term's shifted factor pull back
         # through the same down-shift into the same component: one read each.
-        gj += down(g + mul(dag[i], g), i) - g
-        gi -= down(g + mul(dag[j], g), j) - g
-        gi += mul(g, up(dag[j], i))
-        gj -= mul(g, up(dag[i], j))
+        gj += shifted_read(g + mul(dag[i], g), w, _DOWN[i]) - g
+        gi -= shifted_read(g + mul(dag[j], g), w, _DOWN[j]) - g
+        gi += mul(g, shifted_read(dag[j], w, _UP[i]))
+        gj -= mul(g, shifted_read(dag[i], w, _UP[j]))
     return grad
 
 
@@ -268,15 +270,17 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
 
 
 def _lbfgs_direction(g: np.ndarray, history: deque) -> np.ndarray:
-    """-H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4)."""
-    q = g.copy()
+    """-H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4), on
+    flat views so that each dot product is one BLAS call."""
+    q = g.ravel().copy()
     alphas = []
     for s, y, sy in reversed(history):
-        alpha = float(np.sum(s * q)) / sy
-        q -= alpha * y
+        alpha = float(s.ravel() @ q) / sy
+        q -= alpha * y.ravel()
         alphas.append(alpha)
     _, y, sy = history[-1]
-    q *= sy / float(np.sum(y * y))
+    y = y.ravel()
+    q *= sy / float(y @ y)
     for (s, y, sy), alpha in zip(history, reversed(alphas)):
-        q += (alpha - float(np.sum(y * q)) / sy) * s
-    return -q
+        q += (alpha - float(y.ravel() @ q) / sy) * s.ravel()
+    return -q.reshape(g.shape)

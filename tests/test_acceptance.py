@@ -84,9 +84,9 @@ def test_criterion_2_double_star_identities():
     w = Window((4, 4, 4, 4), "periodic")
     for seed in range(100):
         f = random_curvature(w, seed=seed)
-        shifted = shifted_read(f.data, w, (-1, -1, -1, -1))
-        assert np.array_equal(double_star(f, "euclid").data, shifted)
-        assert np.array_equal(double_star(f, "mink").data, -shifted)
+        shifted = shifted_read(f.buf, w, (-1, -1, -1, -1))
+        assert np.array_equal(double_star(f, "euclid").buf, shifted)
+        assert np.array_equal(double_star(f, "mink").buf, -shifted)
     _finish(2, "double-star identities, 100 random fields", t0, 5.0)
 
 

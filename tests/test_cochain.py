@@ -37,8 +37,9 @@ from sdlattice.solver import SolveConfig, solve
 
 
 def delta_field(a, diff_axis, comp_axis):
-    """Whole-field forward difference A_{tau_i k}^j - A_k^j by one shifted read."""
-    comp = a.component(comp_axis)
+    """Whole-field forward difference A_{tau_i k}^j - A_k^j by one shifted read,
+    sites last like a slot of `Field.buf`."""
+    comp = a.buf[comp_axis - 1]
     offsets = [0, 0, 0, 0]
     offsets[diff_axis - 1] = 1
     return shifted_read(comp, a.window, offsets) - comp
@@ -48,12 +49,13 @@ def test_shifted_read_periodic_matches_sitewise_wrap():
     # Every offset in {-3..3}^4 on axes of length 1, 2 and 3, so offsets at or
     # beyond the axis length and negative ones are covered.  Two windows with
     # different dims take the same offsets (a cache keyed on the offsets alone
-    # fails the second); strided component and plane views are read as given.
+    # fails the second); buffer slots, whole buffers and strided sites-last
+    # views of them are read as given.
     for dims in ((3, 1, 2, 3), (2, 3, 3, 1)):
         w = Window(dims, "periodic")
         a = random_connection(w, "sl2c", seed=0)
         f = CurvatureField(w, np.random.default_rng(1).normal(size=dims + (6, 2, 2)))
-        inputs = (a.component(3), f.plane(2, 4), f.data, np.ascontiguousarray(a.component(1)))
+        inputs = (a.buf[2], f.buf[4, :, 1], f.buf, np.ascontiguousarray(a.buf[:, 1]))
         sites = list(w.sites())
         for offsets in itertools.product(range(-3, 4), repeat=4):
             src = [wrap(w, tuple(c + o for c, o in zip(k, offsets))) for k in sites]
@@ -61,24 +63,25 @@ def test_shifted_read_periodic_matches_sitewise_wrap():
             for data in inputs:
                 out = shifted_read(data, w, offsets)
                 assert not np.shares_memory(out, data)
-                assert np.array_equal(out, np.roll(data, [-o for o in offsets], axis=(0, 1, 2, 3)))
-                assert np.array_equal(out, data[src].reshape(data.shape))
+                rolled = np.roll(data, [-o for o in offsets], axis=(-4, -3, -2, -1))
+                assert np.array_equal(out, rolled)
+                assert np.array_equal(out, data[(...,) + src].reshape(data.shape))
 
 
 def test_shifted_read_zero_pads_outside():
     w = Window((2, 2, 2, 2), "zero")
-    data = np.ones(w.dims + (2, 2), dtype=complex)
+    data = np.ones((2, 2) + w.dims, dtype=complex)
     out = shifted_read(data, w, (1, 0, 0, 0))
-    # out[k] = data[k + e1]; row k1 = 1 reads outside -> zero
-    assert np.all(out[0] == 1)
-    assert np.all(out[1] == 0)
+    # out[..., k] = data[..., k + e1]; row k1 = 1 reads outside -> zero
+    assert np.all(out[:, :, 0] == 1)
+    assert np.all(out[:, :, 1] == 0)
     far = shifted_read(data, w, (5, 0, 0, 0))
     assert not np.any(far)
 
 
 def test_shifted_read_returns_copy_for_zero_offsets():
     w = Window((2, 2, 2, 2), "periodic")
-    data = np.zeros(w.dims + (2, 2), dtype=complex)
+    data = np.zeros((2, 2) + w.dims, dtype=complex)
     out = shifted_read(data, w, (0, 0, 0, 0))
     out[...] = 1.0
     assert not np.any(data)
@@ -173,7 +176,7 @@ def test_delta_field_matches_sitewise_delta():
     a = random_connection(w, "su2", seed=9)
     arr = delta_field(a, 2, 3)
     for k in w.sites():
-        assert np.array_equal(arr[k], delta(a, 2, 3, k))
+        assert np.array_equal(arr[(...,) + k], delta(a, 2, 3, k))
 
 
 def test_delta_commutes_with_diagonal_shift():

@@ -6,6 +6,7 @@ import pytest
 from oracle import at, check_difference_form_13, wrap
 from sdlattice.algebra import basis
 from sdlattice.cochain import (
+    PLANE_INDEX,
     PLANES,
     ConnectionField,
     CurvatureField,
@@ -200,8 +201,9 @@ def test_mink_consistency_chain():
     )
     f34 = f.plane(3, 4)
     f12 = f.plane(1, 2)
-    shifted34 = shifted_read(f34, w, (-1, -1, -1, -1))
-    assert np.array_equal(shifted34, f34)
+    buf34 = f.buf[PLANE_INDEX[(3, 4)]]
+    shifted34 = shifted_read(buf34, w, (-1, -1, -1, -1))
+    assert np.array_equal(shifted34, buf34)
     for k in w.sites():
         src = wrap(w, (k[0] - 1, k[1] - 1, k[2], k[3]))
         assert np.array_equal(f34[k], 1j * f12[src])

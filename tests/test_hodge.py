@@ -5,7 +5,7 @@ import pytest
 
 from oracle import random_curvature, shift_pair, wrap
 from sdlattice.algebra import basis
-from sdlattice.cochain import PLANES, CurvatureField, diagonal_shift, shifted_read
+from sdlattice.cochain import PLANE_INDEX, PLANES, CurvatureField, diagonal_shift, shifted_read
 from sdlattice.curvature import diag_invariant_slice
 from sdlattice.duality import check_diagonal_relation, synthetic_dual_curvature
 from sdlattice.hodge import (
@@ -51,6 +51,18 @@ def test_plane_permutation_is_a_bijection():
             assert sign in (-1, 1)
 
 
+@pytest.mark.parametrize("metric", ["euclid", "mink"])
+def test_move_table_reproduces_star_basis_action(metric):
+    # row (source, target, sign, offsets): (*F)[target]_m = sign F[source]_{m + offsets},
+    # so the basis element at (source plane, site k) lands at (target plane, k - offsets)
+    moves = star_table(metric).moves
+    assert sorted(row[0] for row in moves) == list(range(6))
+    for source, target, sign, offsets in moves:
+        for k in ((0, 0, 0, 0), (2, 5, 7, 11), (-1, 3, -4, 0)):
+            landed = tuple(c - o for c, o in zip(k, offsets))
+            assert star_basis_action(PLANES[source], k, metric) == (PLANES[target], landed, sign)
+
+
 def test_component_form_against_table():
     # (*F)^target_k = sign * F^source_{sigma_source k} for every source plane
     w = Window((3, 4, 3, 2), "periodic")
@@ -62,8 +74,8 @@ def test_component_form_against_table():
             offsets = [0, 0, 0, 0]
             offsets[source[0] - 1] = -1
             offsets[source[1] - 1] = -1
-            expected = sign * shifted_read(f.plane(*source), w, offsets)
-            assert np.array_equal(sf.plane(*target), expected)
+            expected = sign * shifted_read(f.buf[PLANE_INDEX[source]], w, offsets)
+            assert np.array_equal(sf.buf[PLANE_INDEX[target]], expected)
 
 
 def test_impulse_examples():
@@ -143,9 +155,9 @@ def test_double_star_identities_random_fields():
     w = Window((4, 4, 4, 4), "periodic")
     for seed in range(10):
         f = random_curvature(w, seed=seed)
-        shifted = shifted_read(f.data, w, (-1, -1, -1, -1))
-        assert np.array_equal(double_star(f, "euclid").data, shifted)
-        assert np.array_equal(double_star(f, "mink").data, -shifted)
+        shifted = shifted_read(f.buf, w, (-1, -1, -1, -1))
+        assert np.array_equal(double_star(f, "euclid").buf, shifted)
+        assert np.array_equal(double_star(f, "mink").buf, -shifted)
 
 
 def test_double_star_constant_field_euclid_is_identity():

@@ -8,6 +8,7 @@ derandomized, so a run is reproducible.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,14 +87,18 @@ def test_star_adjoint_is_signed_diagonal_up_shift_of_star(dims, seed):
 
 
 def reference_read(data, window, offsets, fill=None):
-    """out[k] = data[k + offsets] by np.roll (periodic) or modular indexing
-    with the reads outside the box set to `fill` (zero windows)."""
+    """out[..., k] = data[..., k + offsets] over the last four axes, by np.roll
+    (periodic) or modular indexing with the reads outside the box set to the
+    2x2 matrix `fill` (zero windows)."""
     if window.boundary == "periodic":
-        return np.roll(data, [-o for o in offsets], axis=(0, 1, 2, 3))
-    out = np.zeros_like(data) if fill is None else np.broadcast_to(fill, data.shape).copy()
+        return np.roll(data, [-o for o in offsets], axis=(-4, -3, -2, -1))
+    if fill is None:
+        out = np.zeros_like(data)
+    else:
+        out = np.broadcast_to(fill[:, :, None, None, None, None], data.shape).copy()
     src = np.meshgrid(*(np.arange(n) + o for n, o in zip(window.dims, offsets)), indexing="ij")
     inside = np.logical_and.reduce([(k >= 0) & (k < n) for k, n in zip(src, window.dims)])
-    out[inside] = data[tuple(k[inside] for k in src)]
+    out[..., inside] = data[(...,) + tuple(k[inside] for k in src)]
     return out
 
 
@@ -103,24 +108,33 @@ def reference_read(data, window, offsets, fill=None):
     OFFSETS,
     st.sampled_from(["periodic", "zero"]),
     st.sampled_from([GaugeField, ConnectionField, CurvatureField]),
-    st.booleans(),
+    st.sampled_from(["raw", "buf", "slot"]),
     st.booleans(),
     SEEDS,
 )
 def test_shifted_read_matches_roll_and_modular_index_reference(
-    dims, offsets, boundary, cls, field_view, with_fill, seed
+    dims, offsets, boundary, cls, view, with_fill, seed
 ):
-    # raw C-order arrays and Field.data views (dims-first views of a
-    # sites-last buffer) must read alike, zero signs included
+    # raw C-order sites-last arrays, Field.buf and single buffer slots must
+    # read alike, zero signs included; the last four axes are the sites
     w = Window(dims, boundary)
     rng = np.random.default_rng(seed)
-    shape = dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
+    shape = ((cls.slots, 2, 2) if cls.slots else (2, 2)) + dims
     raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     raw[raw.real > 1.0] = complex(-0.0, -0.0)
-    data = cls(w, raw).data if field_view else raw
+    data = raw
+    if view != "raw":
+        # the constructor takes dims-first data and copies it into its buffer
+        data = cls(w, np.moveaxis(raw, (-4, -3, -2, -1), (0, 1, 2, 3))).buf
+        assert data.tobytes() == raw.tobytes()
+    if view == "slot" and cls.slots:
+        data = data[int(rng.integers(cls.slots))]
     fill = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if with_fill else None
     out = shifted_read(data, w, offsets, fill=fill)
-    expected = reference_read(raw, w, offsets, fill)
-    assert out.shape == shape
+    expected = reference_read(data, w, offsets, fill)
+    assert out.shape == data.shape
     assert not np.shares_memory(out, data)
     assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
+    # data whose last four axes are not the window dims is refused
+    with pytest.raises(ValueError):
+        shifted_read(np.zeros(data.shape[:-1] + (dims[-1] + 1,), complex), w, offsets, fill=fill)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sdlattice.hodge import star
 from sdlattice import solver
 from sdlattice.lattice import Window
 from sdlattice.solver import (
+    LBFGS_MEMORY,
     SolveConfig,
     SolveReport,
     connection_coefficients,
@@ -22,6 +24,7 @@ from sdlattice.solver import (
     objective,
     solve,
 )
+from sdlattice.solver import _lbfgs_direction
 
 EUCLID_SD = DualityProblem("euclid", "self_dual")
 ALL_PROBLEMS = tuple(
@@ -148,9 +151,9 @@ def test_gradient_field_shape():
 
 
 def test_gradient_read_budget(monkeypatch):
-    # one gradient takes 12 curvature reads, 6 star reads, 1 diagonal shift
-    # and 24 in the adjoint (each down-read serves a difference term and a
-    # product term), and no np.roll anywhere along the way
+    # one gradient takes 12 curvature reads, 6 star reads, 6 adjoint star
+    # reads and 24 in the adjoint loop (each down-read serves a difference
+    # term and a product term), and no np.roll anywhere along the way
     calls = 0
 
     def counted(*args, **kwargs):
@@ -161,17 +164,46 @@ def test_gradient_read_budget(monkeypatch):
     def no_roll(*args, **kwargs):
         raise AssertionError("np.roll called")
 
-    # every read, the kernels' shift_sites included, resolves shifted_read in
-    # the cochain module (sys.modules: the package re-exports names)
-    monkeypatch.setattr(sys.modules["sdlattice.cochain"], "shifted_read", counted)
+    # rebind shifted_read wherever a module bound it by name (sys.modules:
+    # the package re-exports names, so attribute access yields functions)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdlattice.") and getattr(module, "shifted_read", None) is shifted_read:
+            monkeypatch.setattr(module, "shifted_read", counted)
     monkeypatch.setattr(np, "roll", no_roll)
     w = Window((3, 3, 3, 3), "periodic")
     a = random_connection(w, "su2", seed=8, scale=0.3)
     gradient_coefficients(a, EUCLID_SD)
-    assert calls <= 49
+    assert calls <= 48
+    # every kernel's reads are counted: 12 curvature, 6 star, 6 residual
+    calls = 0
     f = curvature(a)
     star(f, "euclid")
     residual(f, EUCLID_SD)
+    assert calls == 24
+
+
+def test_lbfgs_direction_matches_dense_bfgs_inverse_hessian():
+    # the two-loop recursion applies the BFGS inverse-Hessian updates of its
+    # (s, y) history, oldest first, to H0 = (s.y / y.y) I of the newest pair
+    rng = np.random.default_rng(3)
+    shape = (2, 1, 2, 1, 4, 3)
+    n = math.prod(shape)
+    m = rng.normal(size=(n, n))
+    hessian = m @ m.T + n * np.eye(n)  # positive definite, so every s.y > 0
+    history = deque(maxlen=LBFGS_MEMORY)
+    for _ in range(LBFGS_MEMORY + 3):
+        s = rng.normal(size=shape)
+        y = (hessian @ s.ravel()).reshape(shape)
+        history.append((s, y, float(np.sum(s * y))))
+    g = rng.normal(size=shape)
+    _, y_last, sy_last = history[-1]
+    h = sy_last / float(np.sum(y_last * y_last)) * np.eye(n)
+    for s, y, sy in history:
+        v = np.eye(n) - np.outer(y.ravel(), s.ravel()) / sy
+        h = v.T @ h @ v + np.outer(s.ravel(), s.ravel()) / sy
+    d = _lbfgs_direction(g, history)
+    assert d.shape == shape
+    np.testing.assert_allclose(d, -(h @ g.ravel()).reshape(shape), rtol=1e-12)
 
 
 def test_config_validation():
