@@ -9,15 +9,27 @@ permutation, and the four terms of the curvature formula.  Convergence
 objective R itself.  Only periodic windows are supported (shifts must be
 bijections for the adjoints to be exact).
 
-`solve` is L-BFGS with Armijo backtracking.  The landscape has
-quartic-flat valleys (constant-mode directions whose curvature enters only
-through commutators); the quasi-Newton scaling crosses them in tens of
-iterations where fixed or spectral gradient steps take thousands.  Each
-line-search trial keeps its residual, and the gradient at the accepted
+`solve` is L-BFGS with Armijo backtracking, preconditioned in Fourier
+space.  At A = 0 the residual is linear, r = (a + b S) D A with D the
+forward-difference curl and S the star, and it commutes with translations,
+so a Fourier transform over the four site axes block-diagonalises the
+Hessian of R: per momentum p it is M(p) = C(p)^H C(p), C(p) = (a + b S(p))
+D(p) a 6x4 matrix (`_hessian_symbol`).  The initial inverse Hessian of the
+two-loop recursion is H0 = gamma P with P = (M + mu I)^-1 taken per
+momentum, gamma = s.y / y.P y of the newest pair, and the first step is
+-step0 P g (Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright,
+Numerical Optimization, section 7.2).  mu = PRECONDITIONER_SHIFT times the
+largest eigenvalue of the symbol stands in for its null space: constant
+modes, pure-gauge directions and the kernel of a + b S.  Real su(2)
+coordinates meeting complex (a, b) pair p with -p, so for su2 the symbol
+is symmetrised to (M(p) + conj M(-p)) / 2, the symbol of Re M.  P is built
+at the first solve on a window and cached per (dims, problem, algebra).
+Each line-search trial keeps its residual, and the gradient at the accepted
 point reuses it instead of recomputing the curvature.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
@@ -35,6 +47,9 @@ from .lattice import Window
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
 LBFGS_MEMORY = 10
 
+# mu of the preconditioner (M + mu I)^-1, relative to the largest eigenvalue of M.
+PRECONDITIONER_SHIFT = 1e-2
+
 # Unit read offsets +e_i and -e_i per axis i, and +1 on both axes of each plane slot.
 _UP = {i: tuple(int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
 _DOWN = {i: tuple(-int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
@@ -46,8 +61,9 @@ class SolveConfig:
     """Options for `solve`.
 
     tol is the target value of the residual objective R(A) (the squared
-    Frobenius norm of the residual cochain); step0 the gradient step taken
-    when the L-BFGS memory is empty; backtrack the Armijo shrink factor.
+    Frobenius norm of the residual cochain); step0 scales the preconditioned
+    gradient step -P g taken when the L-BFGS memory is empty; backtrack the
+    Armijo shrink factor.
     """
 
     problem: DualityProblem
@@ -194,18 +210,20 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
 
 
 def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, SolveReport]:
-    """L-BFGS with Armijo backtracking on the residual objective.
+    """Fourier-preconditioned L-BFGS with Armijo backtracking on the residual
+    objective.
 
     Directions come from the two-loop recursion over the last LBFGS_MEMORY
-    pairs (step s, gradient change y) with s.y > 0; with none stored, or if
-    the recursion gives no descent direction (the memory is then cleared),
-    the direction is -cfg.step0 times the gradient.  The fraction t of the
-    direction starts at 1 and shrinks by cfg.backtrack until the Armijo
-    condition (slope 1e-4) holds and the objective strictly decreases.
-    Stops at cfg.tol, at max_iter, when t underflows below 1e-16, or at a
-    zero gradient (SolveReport.stop_reason).  Trace rows are (iteration,
-    objective, accepted t); deterministic in (conn0, cfg).  Raises
-    ValueError if the values of conn0 are not in its algebra.
+    pairs (step s, gradient change y) with s.y > 0, started from H0 = gamma P
+    (module docstring); with none stored, or if the recursion gives no
+    descent direction (the memory is then cleared), the direction is
+    -cfg.step0 P g.  The fraction t of the direction starts at 1 and shrinks
+    by cfg.backtrack until the Armijo condition (slope 1e-4) holds and the
+    objective strictly decreases.  Stops at cfg.tol, at max_iter, when t
+    underflows below 1e-16, or at a zero gradient (SolveReport.stop_reason).
+    Trace rows are (iteration, objective, accepted t); deterministic in
+    (conn0, cfg).  Raises ValueError if the values of conn0 are not in its
+    algebra.
     """
     start = time.perf_counter()
     _require_periodic(conn0.window)
@@ -214,6 +232,7 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
         # the coordinates below would project them onto the algebra
         raise ValueError(f"connection values are not in {kind}")
     coeff = connection_coefficients(conn0)
+    shape = coeff.shape
     conn = connection_from_coefficients(coeff, window, kind)
     obj, res = _objective_and_residual(conn, problem)
     trace = [(0, obj, 0.0)]
@@ -223,23 +242,29 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
         report.wall_s = time.perf_counter() - start
         return conn, report
 
+    # coordinates, gradients and directions are flat, so every dot product
+    # is one BLAS call
+    coeff = coeff.ravel()
+    precondition = _preconditioner(window.dims, problem, kind)
     history = deque(maxlen=LBFGS_MEMORY)
-    g = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind)
+    g = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind).ravel()
     report.gradient_evaluations += 1
     for it in range(1, cfg.max_iter + 1):
-        g_sq = float(np.sum(g * g))
-        if g_sq == 0.0:
+        if float(g @ g) == 0.0:
             report.stop_reason = "stationary"
             break
-        d = _lbfgs_direction(g, history) if history else -cfg.step0 * g
-        slope = float(np.sum(g * d))
+        slope = 0.0
+        if history:
+            d = _lbfgs_direction(g, history, precondition)
+            slope = float(g @ d)
         if not slope < 0.0:
             history.clear()
-            d, slope = -cfg.step0 * g, -cfg.step0 * g_sq
+            d = -cfg.step0 * precondition(g)
+            slope = float(g @ d)
         t = 1.0
         while t >= 1e-16:
             trial = coeff + t * d
-            trial_conn = connection_from_coefficients(trial, window, kind)
+            trial_conn = connection_from_coefficients(trial.reshape(shape), window, kind)
             trial_obj, trial_res = _objective_and_residual(trial_conn, problem)
             report.evaluations += 1
             if trial_obj < obj and trial_obj <= obj + 1e-4 * t * slope:
@@ -256,10 +281,10 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
         if converged:
             report.converged, report.stop_reason = True, "converged"
             break
-        g_new = _coefficient_gradient(_gradient_matrices(conn, problem, trial_res), kind)
+        g_new = _coefficient_gradient(_gradient_matrices(conn, problem, trial_res), kind).ravel()
         report.gradient_evaluations += 1
         s, y = t * d, g_new - g
-        sy = float(np.sum(s * y))
+        sy = float(s @ y)
         if sy > 0.0:
             history.append((s, y, sy))
         g = g_new
@@ -269,18 +294,91 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     return conn, report
 
 
-def _lbfgs_direction(g: np.ndarray, history: deque) -> np.ndarray:
-    """-H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4), on
-    flat views so that each dot product is one BLAS call."""
-    q = g.ravel().copy()
+def _lbfgs_direction(g: np.ndarray, history: deque, precondition) -> np.ndarray:
+    """-H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4) on
+    flat vectors, from H0 = gamma P with P = `precondition` and
+    gamma = s.y / y.P y of the newest pair."""
+    q = g.copy()
     alphas = []
     for s, y, sy in reversed(history):
-        alpha = float(s.ravel() @ q) / sy
-        q -= alpha * y.ravel()
+        alpha = float(s @ q) / sy
+        q -= alpha * y
         alphas.append(alpha)
     _, y, sy = history[-1]
-    y = y.ravel()
-    q *= sy / float(y @ y)
+    q = precondition(q)
+    q *= sy / float(y @ precondition(y))
     for (s, y, sy), alpha in zip(history, reversed(alphas)):
-        q += (alpha - float(y.ravel() @ q) / sy) * s.ravel()
-    return -q.reshape(g.shape)
+        q += (alpha - float(y @ q) / sy) * s
+    return -q
+
+
+def _hessian_symbol(dims: tuple, problem: DualityProblem, algebra_kind: str) -> np.ndarray:
+    """Hessian of the objective at A = 0 per momentum p, shape dims + (4, 4).
+
+    Momentum p_i = 2 pi n_i / N_i is the transform x(p) = sum_k x_k e^{-i p.k},
+    under which a read at offset o multiplies by e^{i p.o}.  C(p) = (a + b S(p))
+    D(p): the curl D has entries +/-(e^{i p_i} - 1), and S is the star's signed
+    move table with phase e^{-i (p_a + p_b)} for source plane (a, b).  M = C^H C
+    acts on complex coefficients (sl2c); for real su2 coefficients the Hessian
+    is Re M, whose symbol is (M(p) + conj M(-p)) / 2.
+    """
+    p = np.meshgrid(*(2 * np.pi * np.arange(n) / n for n in dims), indexing="ij")
+    d = np.zeros(dims + (6, 4), dtype=complex)
+    for n, (i, j) in enumerate(PLANES):
+        d[..., n, j - 1] = np.exp(1j * p[i - 1]) - 1
+        d[..., n, i - 1] = 1 - np.exp(1j * p[j - 1])
+    a, b = problem.coefficients
+    c = a * d
+    for source, target, sign, offsets in star_table(problem.metric).moves:
+        phase = sign * np.exp(1j * sum(o * pk for o, pk in zip(offsets, p)))
+        c[..., target, :] += b * phase[..., None] * d[..., source, :]
+    m = c.conj().swapaxes(-1, -2) @ c
+    if algebra_kind == "su2":
+        m = 0.5 * (m + m[np.ix_(*((-np.arange(n)) % n for n in dims))].conj())
+    return m
+
+
+def _dft(dims: tuple) -> np.ndarray:
+    """Matrix e^{-i p.k} of the joint DFT over site axes `dims`, sites row-major."""
+    f = np.ones((1, 1))
+    for n in dims:
+        k = np.arange(n)
+        f = np.kron(f, np.exp(-2j * np.pi * np.outer(k, k) / n))
+    return f
+
+
+@functools.lru_cache(maxsize=16)
+def _preconditioner(dims: tuple, problem: DualityProblem, algebra_kind: str):
+    """P = (M + mu I)^-1 per momentum as a function on flat coordinate vectors.
+
+    The transform is two matrix products, one per pair of site axes (the
+    DFT matrices of axes 1-2 and 3-4), on the coordinates arranged
+    components-first; P then meets each momentum as four broadcast
+    products.  A window whose symbol vanishes (every axis of length 1)
+    gets P = I.
+    """
+    lam, vec = np.linalg.eigh(_hessian_symbol(dims, problem, algebra_kind))
+    top = float(lam.max())
+    mu = PRECONDITIONER_SHIFT * top if top > 0.0 else 1.0
+    n_sites, n12, n34 = math.prod(dims), dims[0] * dims[1], dims[2] * dims[3]
+    inv = (vec / (lam + mu)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    # (row, column, 1, site): row i of P(p) meets column x[j] at every site
+    inv = np.ascontiguousarray(inv.reshape(n_sites, 4, 4).transpose(1, 2, 0)[:, :, None, :])
+    f12, f34 = _dft(dims[:2]), _dft(dims[2:])
+    b12, b34 = f12.conj() / n12, f34.conj() / n34
+    width = 3 if algebra_kind == "su2" else 6
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        x = v.reshape(n_sites, 4, width).transpose(1, 2, 0)
+        x = x.astype(complex) if width == 3 else x[:, :3] + 1j * x[:, 3:]
+        # DFT matrices are symmetric, so the axes 3-4 product is x @ f34
+        x = (f12 @ (x.reshape(-1, n34) @ f34).reshape(-1, n12, n34)).reshape(4, 3, n_sites)
+        x = inv[:, 0] * x[0] + inv[:, 1] * x[1] + inv[:, 2] * x[2] + inv[:, 3] * x[3]
+        x = (b12 @ (x.reshape(-1, n34) @ b34).reshape(-1, n12, n34)).reshape(4, 3, n_sites)
+        out = np.empty((n_sites, 4, width))
+        out[..., :3] = x.real.transpose(2, 0, 1)
+        if width == 6:
+            out[..., 3:] = x.imag.transpose(2, 0, 1)
+        return out.ravel()
+
+    return apply
