@@ -167,8 +167,6 @@ def cmd_solve(args) -> int:
         problem=DualityProblem(args.metric, ORIENTATION_FLAG[args.dual]),
         max_iter=args.max_iter,
         tol=args.tol,
-        step0=args.step0,
-        backtrack=args.backtrack,
         trace_every=args.trace_every,
     )
     solved, report = solve(conn, cfg)
@@ -238,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", required=True, choices=["sd", "asd"])
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--step0", type=float, default=1.0,
-                   help="scale of the first, preconditioned gradient step -P g")
-    p.add_argument("--backtrack", type=float, default=0.5)
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--trace", help="write the residual trace to this CSV file")
     p.add_argument("input")

@@ -1,4 +1,4 @@
-"""Residual-minimizing search for discrete (anti-)self-dual connections.
+"""Least-squares search for connections whose curvature is (anti-)self-dual.
 
 The objective is R(A) = ||residual(curvature(A), problem)||_F^2, a smooth
 real functional of the basis coefficients of A (3 real coordinates per
@@ -7,25 +7,30 @@ running the chain rule backwards through the residual operator, the star
 permutation, and the four terms of the curvature formula.  Convergence
 (SolveConfig.tol, SolveReport.final_residual, the trace) is measured on the
 objective R itself.  Only periodic windows are supported (shifts must be
-bijections for the adjoints to be exact).
+bijections for the adjoints to be exact).  R = 0 holds for every flat
+connection too, and from small random starts su2 (either metric) and sl2c
+euclid reach tol by flattening A, with R / ||F||^2 left near 2; only sl2c
+mink ends with R well below ||F||^2.
 
-`solve` is L-BFGS with Armijo backtracking, preconditioned in Fourier
+`solve` is L-BFGS with an exact line search, preconditioned in Fourier
 space.  At A = 0 the residual is linear, r = (a + b S) D A with D the
 forward-difference curl and S the star, and it commutes with translations,
 so a Fourier transform over the four site axes block-diagonalises the
 Hessian of R: per momentum p it is M(p) = C(p)^H C(p), C(p) = (a + b S(p))
 D(p) a 6x4 matrix (`_hessian_symbol`).  The initial inverse Hessian of the
 two-loop recursion is H0 = gamma P with P = (M + mu I)^-1 taken per
-momentum, gamma = s.y / y.P y of the newest pair, and the first step is
--step0 P g (Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright,
+momentum, gamma = s.y / y.P y of the newest pair, and the first direction
+is -P g (Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright,
 Numerical Optimization, section 7.2).  mu = PRECONDITIONER_SHIFT times the
 largest eigenvalue of the symbol stands in for its null space: constant
 modes, pure-gauge directions and the kernel of a + b S.  Real su(2)
 coordinates meeting complex (a, b) pair p with -p, so for su2 the symbol
 is symmetrised to (M(p) + conj M(-p)) / 2, the symbol of Re M.  P is built
 at the first solve on a window and cached per (dims, problem, algebra).
-Each line-search trial keeps its residual, and the gradient at the accepted
-point reuses it instead of recomputing the curvature.
+The curvature is quadratic in A, so along a direction d the residual is
+r0 + t r1 + t^2 r2 and R is a quartic in t (Nocedal & Wright, section 3.5
+on exact line searches): the step minimises it, and the gradient at the
+new point takes its interpolated residual instead of a new curvature.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, shifted_read
+from .cochain import PLANES, ConnectionField, CurvatureField, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
 from .hodge import star_table
@@ -61,16 +66,13 @@ class SolveConfig:
     """Options for `solve`.
 
     tol is the target value of the residual objective R(A) (the squared
-    Frobenius norm of the residual cochain); step0 scales the preconditioned
-    gradient step -P g taken when the L-BFGS memory is empty; backtrack the
-    Armijo shrink factor.
+    Frobenius norm of the residual cochain).  The line search is exact, so
+    there is no step length to set.
     """
 
     problem: DualityProblem
     max_iter: int = 1000
     tol: float = 1e-8
-    step0: float = 1.0
-    backtrack: float = 0.5
     trace_every: int = 1
 
     def __post_init__(self):
@@ -78,10 +80,6 @@ class SolveConfig:
             raise ValueError("max_iter must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if not (math.isfinite(self.step0) and self.step0 > 0):
-            raise ValueError("step0 must be finite and positive")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
 
@@ -90,11 +88,14 @@ class SolveConfig:
 class SolveReport:
     """Outcome of `solve`; residual figures are objective values R(A).
 
-    stop_reason: "converged", "max_iter", "step_underflow" or "stationary".
-    evaluations counts objective evaluations, rejected line-search trials
-    included; gradient_evaluations counts gradients (a converged run takes
-    one per iteration).  wall_s spans the whole call; grad_norm is the
-    Euclidean norm of the last gradient computed (0.0 if none was taken).
+    stop_reason: "converged", "max_iter", "no_decrease" or "stationary".
+    evaluations counts full objective evaluations (curvature and residual
+    of a connection): one at the start, one per iteration and one per
+    recompute of an interpolated residual; the product-only pass of each
+    line search is not counted.  gradient_evaluations counts gradients (a
+    converged run takes one per iteration).  wall_s spans the whole call;
+    grad_norm is the Euclidean norm of the last gradient computed (0.0 if
+    none was taken).
     """
 
     iterations: int
@@ -210,20 +211,20 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
 
 
 def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, SolveReport]:
-    """Fourier-preconditioned L-BFGS with Armijo backtracking on the residual
-    objective.
+    """Fourier-preconditioned L-BFGS with an exact line search on the
+    residual objective.
 
     Directions come from the two-loop recursion over the last LBFGS_MEMORY
     pairs (step s, gradient change y) with s.y > 0, started from H0 = gamma P
     (module docstring); with none stored, or if the recursion gives no
-    descent direction (the memory is then cleared), the direction is
-    -cfg.step0 P g.  The fraction t of the direction starts at 1 and shrinks
-    by cfg.backtrack until the Armijo condition (slope 1e-4) holds and the
-    objective strictly decreases.  Stops at cfg.tol, at max_iter, when t
-    underflows below 1e-16, or at a zero gradient (SolveReport.stop_reason).
-    Trace rows are (iteration, objective, accepted t); deterministic in
-    (conn0, cfg).  Raises ValueError if the values of conn0 are not in its
-    algebra.
+    descent direction (the memory is then cleared), the direction is -P g.
+    The step t minimises the quartic R(A + t d) (`_exact_step`) and is taken
+    if it lowers R, else the solve stops ("no_decrease").  The residual at
+    the new point is interpolated; it is recomputed from the connection
+    when the interpolated R reaches cfg.tol, at max_iter and at any other
+    stop, so final_residual is objective(solved) bitwise.  Trace rows are
+    (iteration, objective, t); deterministic in (conn0, cfg).  Raises
+    ValueError if the values of conn0 are not in its algebra.
     """
     start = time.perf_counter()
     _require_periodic(conn0.window)
@@ -242,9 +243,8 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
         report.wall_s = time.perf_counter() - start
         return conn, report
 
-    # coordinates, gradients and directions are flat, so every dot product
-    # is one BLAS call
-    coeff = coeff.ravel()
+    # gradients and directions are flat, so every dot product is one BLAS
+    # call; the iterate moves by the matrices of each step
     precondition = _preconditioner(window.dims, problem, kind)
     history = deque(maxlen=LBFGS_MEMORY)
     g = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind).ravel()
@@ -253,45 +253,81 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
         if float(g @ g) == 0.0:
             report.stop_reason = "stationary"
             break
-        slope = 0.0
-        if history:
-            d = _lbfgs_direction(g, history, precondition)
-            slope = float(g @ d)
-        if not slope < 0.0:
+        d = _lbfgs_direction(g, history, precondition) if history else None
+        if d is None or not float(g @ d) < 0.0:
             history.clear()
-            d = -cfg.step0 * precondition(g)
-            slope = float(g @ d)
-        t = 1.0
-        while t >= 1e-16:
-            trial = coeff + t * d
-            trial_conn = connection_from_coefficients(trial.reshape(shape), window, kind)
-            trial_obj, trial_res = _objective_and_residual(trial_conn, problem)
-            report.evaluations += 1
-            if trial_obj < obj and trial_obj <= obj + 1e-4 * t * slope:
-                break
-            t *= cfg.backtrack
-        else:
-            report.stop_reason = "step_underflow"
+            d = -precondition(g)
+        step = connection_from_coefficients(d.reshape(shape), window, kind)
+        r1, r2 = _line_residuals(conn, step, res, problem)
+        report.evaluations += 1
+        t = _exact_step(_quartic(res.buf, r1, r2))
+        new_res = res.buf + t * r1 + (t * t) * r2
+        new_obj = float(np.vdot(new_res, new_res).real)
+        if not new_obj < obj:
+            report.stop_reason = "no_decrease"
             break
-        coeff, conn, obj = trial, trial_conn, trial_obj
+        conn = conn + t * step
+        obj, res = new_obj, CurvatureField._from_buf(window, new_res, "general")
         report.iterations = it
+        if obj <= cfg.tol or it == cfg.max_iter:
+            # the interpolated residual carries the rounding of every step
+            obj, res = _objective_and_residual(conn, problem)
+            report.evaluations += 1
         converged = obj <= cfg.tol
         if it % cfg.trace_every == 0 or converged:
             trace.append((it, obj, t))
         if converged:
             report.converged, report.stop_reason = True, "converged"
             break
-        g_new = _coefficient_gradient(_gradient_matrices(conn, problem, trial_res), kind).ravel()
+        g_new = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind).ravel()
         report.gradient_evaluations += 1
         s, y = t * d, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             history.append((s, y, sy))
         g = g_new
+    if report.stop_reason in ("stationary", "no_decrease"):
+        obj = _objective_and_residual(conn, problem)[0]
+        report.evaluations += 1
     report.final_residual = obj
     report.grad_norm = float(np.linalg.norm(g))
     report.wall_s = time.perf_counter() - start
     return conn, report
+
+
+def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: DualityProblem):
+    """r1, r2 with residual(curvature(A + t d)) = res.buf + t r1 + t^2 r2 for
+    A = conn, d = step.  The curvature is quadratic in A: r2 is the residual
+    of the product terms of d alone, d^i d^j(+e_i) - d^j d^i(+e_j) per
+    plane, and r1 = r(1) - res.buf - r2 takes one full evaluation, at A + d."""
+    w = conn.window
+    products = CurvatureField.zeros(w)
+    for n, (i, j) in enumerate(PLANES):
+        di, dj = step.buf[i - 1], step.buf[j - 1]
+        products.buf[n] = mul(di, shifted_read(dj, w, _UP[i])) - mul(dj, shifted_read(di, w, _UP[j]))
+    r2 = residual(products, problem).buf
+    r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
+    r1 -= r2
+    return r1, r2
+
+
+def _quartic(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> tuple:
+    """Coefficients c0..c4 (lowest first) of R(t) = ||r0 + t r1 + t^2 r2||^2."""
+    def dot(x, y):
+        return float(np.vdot(x, y).real)
+
+    return (dot(r0, r0), 2 * dot(r0, r1), dot(r1, r1) + 2 * dot(r0, r2),
+            2 * dot(r1, r2), dot(r2, r2))
+
+
+def _exact_step(c: tuple) -> float:
+    """The positive real root of R'(t) with the lowest R(t), for the quartic
+    R with coefficients c (lowest first); 1 if there is none."""
+    if not all(map(math.isfinite, c)):
+        return 1.0
+    c0, c1, c2, c3, c4 = c
+    ts = [r.real for r in np.roots([4 * c4, 3 * c3, 2 * c2, c1]) if r.imag == 0 and r.real > 0]
+    return min(ts, key=lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))), default=1.0)
 
 
 def _lbfgs_direction(g: np.ndarray, history: deque, precondition) -> np.ndarray:

@@ -268,13 +268,19 @@ def test_solve_rejects_non_finite_tol_and_step0(tmp_path, capsys):
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
         "-o", str(a))
-    for flag in ("--tol", "--step0"):
-        for value in ("nan", "inf"):
-            code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
-                               flag, value, str(a), "-o", str(tmp_path / "s.field"))
-            assert code == 2, (flag, value)
-            assert flag[2:] in err
-            assert not (tmp_path / "s.field").exists()
+    for value in ("nan", "inf"):
+        code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                           "--tol", value, str(a), "-o", str(tmp_path / "s.field"))
+        assert code == 2, value
+        assert "tol" in err
+        assert not (tmp_path / "s.field").exists()
+    # the line search is exact: there is no step length or backtrack factor
+    for flag in ("--step0", "--backtrack"):
+        code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
+                           flag, "0.5", str(a), "-o", str(tmp_path / "s.field"))
+        assert code == 2, flag
+        assert flag in err
+        assert not (tmp_path / "s.field").exists()
 
 
 def test_solve_has_no_seed_flag(tmp_path, capsys):

@@ -301,8 +301,24 @@ def test_preconditioned_solve_takes_no_more_iterations():
         assert np.array_equal(out.buf, out2.buf)
         iterations[kind, metric, orientation, dims] = report.iterations
     # plain L-BFGS takes 154 iterations on the six benchmark problems, the
-    # preconditioned solver 70
-    assert sum(list(iterations.values())[:6]) <= 100
+    # preconditioned solver with Armijo backtracking 70 and with the exact
+    # line search 37
+    assert sum(list(iterations.values())[:6]) <= 50
+
+
+@pytest.mark.parametrize(
+    "kind, problem, scale, max_iter",
+    # Armijo backtracking stops at 3000 with R = 4.4e-8 on the first and
+    # takes 389 iterations on the second
+    [("su2", EUCLID_SD, 1.0, 3000),
+     ("sl2c", DualityProblem("mink", "self_dual"), 0.1, 400)],
+)
+def test_solve_converges_from_a_far_start(kind, problem, scale, max_iter):
+    # far from A = 0 the preconditioner is no longer the inverse Hessian
+    a0 = random_connection(Window((3, 3, 3, 3), "periodic"), kind, seed=0, scale=scale)
+    out, report = solve(a0, SolveConfig(problem, max_iter=max_iter, tol=1e-8, trace_every=50))
+    assert report.stop_reason == "converged"
+    assert report.final_residual == objective(out, problem) <= 1e-8
 
 
 def test_config_validation():
@@ -311,18 +327,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(EUCLID_SD, tol=0.0)
     with pytest.raises(ValueError):
-        SolveConfig(EUCLID_SD, backtrack=1.0)
-    with pytest.raises(ValueError):
-        SolveConfig(EUCLID_SD, backtrack=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(EUCLID_SD, step0=-1.0)
-    with pytest.raises(ValueError):
         SolveConfig(EUCLID_SD, trace_every=0)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, tol=value)
-        with pytest.raises(ValueError):
-            SolveConfig(EUCLID_SD, step0=value)
 
 
 def test_solve_rejects_values_outside_the_algebra():
@@ -399,7 +407,8 @@ def test_solve_reports_evaluation_counts(monkeypatch):
     a0 = random_connection(Window((3, 3, 3, 3), "periodic"), "su2", seed=0, scale=1e-2)
     _, report = solve(a0, SolveConfig(EUCLID_SD, max_iter=1000, tol=1e-8))
     assert report.converged
-    # the start point, then at least one line-search trial per iteration
+    # the start point, one evaluation at t = 1 per iteration and one
+    # recompute of the interpolated residual before the converged stop
     assert report.evaluations >= report.iterations + 1
     assert report.evaluations == calls["objective"]
     # one gradient at the start and one per accepted step but the last
@@ -416,6 +425,50 @@ def test_solve_trace_is_non_increasing():
     iters = [i for i, _, _ in report.residual_trace]
     assert iters == sorted(iters)
     assert report.final_residual == values[-1]
+
+
+def test_final_residual_is_the_objective_of_the_returned_field():
+    # the solver carries interpolated residuals; it recomputes at every stop
+    a0 = random_connection(Window((3, 3, 3, 3), "periodic"), "su2", seed=0, scale=1e-2)
+    for max_iter, reason in ((1000, "converged"), (3, "max_iter")):
+        out, report = solve(a0, SolveConfig(EUCLID_SD, max_iter=max_iter, tol=1e-8))
+        assert report.stop_reason == reason
+        assert report.final_residual == objective(out, EUCLID_SD)
+        values = [r for _, r, _ in report.residual_trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert values[-1] == report.final_residual
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS)
+def test_line_residuals_interpolate_exactly(kind, problem):
+    # the curvature is quadratic in A, so along A + t d the residual is
+    # r0 + t r1 + t^2 r2 and R is the quartic with coefficients c
+    w = Window((3, 2, 2, 2), "periodic")
+    a = random_connection(w, kind, seed=6, scale=0.5)
+    d = random_connection(w, kind, seed=7, scale=0.5)
+    _, r0 = solver._objective_and_residual(a, problem)
+    r1, r2 = solver._line_residuals(a, d, r0, problem)
+    c = solver._quartic(r0.buf, r1, r2)
+    for t in (-1.0, 0.5, 2.0, 3.0):
+        a_t = a + t * d
+        direct = residual(curvature(a_t), problem).buf
+        interpolated = r0.buf + t * r1 + t * t * r2
+        assert np.max(np.abs(interpolated - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(
+            objective(a_t, problem), rel=1e-12)
+
+
+def test_exact_step_picks_the_lowest_positive_minimum():
+    # (t^2 - 5 t + 4)^2 has minima at t = 1 and t = 4; a tilt e t picks one
+    well = (16.0, -40.0, 33.0, -10.0, 1.0)
+    for tilt, t_min in ((0.5, 1.0), (-0.5, 4.0)):
+        c = (well[0], well[1] + tilt) + well[2:]
+        assert solver._exact_step(c) == pytest.approx(t_min, abs=0.1)
+    assert solver._exact_step((4.0, -4.0, 1.0, 0.0, 0.0)) == pytest.approx(2.0)  # (t - 2)^2
+    # no positive critical point, or non-finite coefficients: t = 1
+    assert solver._exact_step((1.0, 2.0, 1.0, 0.0, 0.0)) == 1.0
+    assert solver._exact_step((1.0, -1.0, float("nan"), 0.0, 1.0)) == 1.0
 
 
 def test_solve_is_deterministic():
@@ -466,7 +519,8 @@ def test_solve_max_iter_is_respected():
 )
 def test_solve_converges_in_few_iterations(kind, problem, dims):
     # plain L-BFGS, H0 = (s.y / y.y) I, needed 24 (3^4), 30 (2^4) and 29
-    # (3,2,2,1) iterations; the Fourier preconditioner needs 12, 13 and 12
+    # (3,2,2,1) iterations; the Fourier preconditioner 12, 13 and 12 with
+    # Armijo backtracking and 6, 7 and 6 with the exact line search
     a0 = random_connection(Window(dims, "periodic"), kind, seed=0, scale=1e-2)
     out, report = solve(a0, SolveConfig(problem, max_iter=10000, tol=1e-8))
     assert report.converged
@@ -475,19 +529,25 @@ def test_solve_converges_in_few_iterations(kind, problem, dims):
     assert objective(out, problem) <= 1e-8
 
 
-def test_solve_stops_on_step_underflow():
-    # every trial step overshoots to a non-finite objective
+def test_solve_stops_when_no_step_decreases(monkeypatch):
     w = Window((2, 2, 2, 2), "periodic")
-    a0 = random_connection(w, "su2", seed=0, scale=0.1)
-    cfg = SolveConfig(EUCLID_SD, step0=1e300, backtrack=0.1)
+    # the quartic's coefficients overflow, so its roots cannot be taken
+    huge = random_connection(w, "su2", seed=0, scale=1e60)
     with np.errstate(all="ignore"):
-        out, report = solve(a0, cfg)
-    assert report.stop_reason == "step_underflow"
-    assert not report.converged
-    assert report.iterations == 0
-    assert report.final_residual == objective(a0, EUCLID_SD)
-    assert np.array_equal(out.data, connection_from_coefficients(
-        connection_coefficients(a0), w, "su2").data)
+        overflowed = solve(huge, SolveConfig(EUCLID_SD))
+    # P = -I turns the first direction uphill: near A = 0 the quartic then
+    # has its only critical point at negative t, and t = 1 raises R
+    near = random_connection(w, "su2", seed=0, scale=1e-2)
+    monkeypatch.setattr(solver, "_preconditioner", lambda *key: np.negative)
+    uphill = solve(near, SolveConfig(EUCLID_SD))
+    for a0, (out, report) in ((huge, overflowed), (near, uphill)):
+        assert report.stop_reason == "no_decrease"
+        assert not report.converged
+        assert report.iterations == 0
+        with np.errstate(all="ignore"):
+            assert report.final_residual == objective(a0, EUCLID_SD)
+        assert np.array_equal(out.data, connection_from_coefficients(
+            connection_coefficients(a0), w, "su2").data)
 
 
 def test_solve_stops_at_a_stationary_point(monkeypatch):
