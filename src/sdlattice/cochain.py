@@ -12,7 +12,8 @@ Shape and memory order differ.  `Field.data` has shape dims + (slots, 2, 2)
 contiguous run over the sites.  The kernels work on `buf`, where every
 whole-field operation is one contiguous sweep; their one site read,
 `shifted_read`, takes any array whose last four axes are the sites, such
-as `buf` or one of its slots.
+as `buf` or one of its slots, and copies blocks of one cached table: all
+of them on periodic windows, only the one inside the box on zero windows.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numbers
 import numpy as np
 
 from .algebra import BASIS, identity
-from .lattice import Window
+from .lattice import METRICS, Window
 
 PLANES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PLANE_INDEX = {p: n for n, p in enumerate(PLANES)}
@@ -48,50 +49,42 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     out[..., k] = data[..., k + offsets].
 
     The last four axes of `data` are the sites (`Field.buf`, or one of its
-    slots); any leading axes are carried along.  Periodic windows wrap by
-    cached slice copies (`_periodic_blocks`); zero windows pad, filling
-    reads outside the box with `fill` (default zeros), a 2x2 matrix
-    broadcast over the sites.  The result is a new array in the memory
-    order of `data`.  Raises ValueError if the last four axes of `data` are
-    not the window dims.
+    slots); any leading axes are carried along.  Both boundaries copy the
+    blocks of one cached table (`_blocks`): periodic windows copy every
+    block, so reads wrap; zero windows copy only the block that stays
+    inside the box, over `fill` (default zeros), a 2x2 matrix broadcast
+    over the sites.  The result is a new array in the memory order of
+    `data`.  Raises ValueError if the last four axes of `data` are not the
+    window dims.
     """
     if data.shape[-4:] != window.dims:
         raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
-    if window.boundary == "periodic":
-        out = np.empty_like(data)
-        for dst, src in _periodic_blocks(window.dims, tuple(offsets)):
-            out[dst] = data[src]
-        return out
-    if fill is None:
-        out = np.zeros_like(data)
-    else:
-        out = np.empty_like(data)
+    periodic = window.boundary == "periodic"
+    out = np.empty_like(data) if periodic or fill is not None else np.zeros_like(data)
+    if not periodic and fill is not None:
         out[...] = np.asarray(fill)[..., None, None, None, None]
-    src = [Ellipsis]
-    dst = [Ellipsis]
-    for n, off in zip(window.dims, offsets):
-        lo, hi = max(0, -off), min(n, n - off)
-        if lo >= hi:
-            return out
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + off, hi + off))
-    out[tuple(dst)] = data[tuple(src)]
+    for dst, src, inside in _blocks(window.dims, tuple(offsets)):
+        if periodic or inside:
+            out[dst] = data[src]
     return out
 
 
 @functools.lru_cache(maxsize=1024)
-def _periodic_blocks(dims: tuple, offsets: tuple) -> tuple:
-    """(destination, source) index tuples, an Ellipsis then one slice per
-    site axis, whose copies make a periodic read.
+def _blocks(dims: tuple, offsets: tuple) -> tuple:
+    """(destination, source, inside) rows whose copies make a periodic read;
+    destination and source are an Ellipsis then one slice per site axis.
 
     Along an axis shifted by s = offset mod n > 0, sites [0, n - s) read
     [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
+    A block is inside if no read wraps (each source starts at its
+    destination plus the offset): one block at most, none if |offset| >= n.
     """
-    blocks = [((...,), (...,))]
+    blocks = [((...,), (...,), True)]
     for n, off in zip(dims, offsets):
         s = off % n
         pairs = ((slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s)))[: 2 if s else 1]
-        blocks = [(d + (pd,), r + (pr,)) for d, r in blocks for pd, pr in pairs]
+        blocks = [(d + (pd,), r + (pr,), inside and pr.start == pd.start + off)
+                  for d, r, inside in blocks for pd, pr in pairs]
     return tuple(blocks)
 
 
@@ -113,6 +106,8 @@ class Field:
             raise ValueError(f"data shape {data.shape} != expected {expected}")
         if algebra not in ALGEBRA_KINDS:
             raise ValueError(f"unknown algebra kind {algebra!r}")
+        if metric is not None and metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS} or None, got {metric!r}")
         self.window = window
         self.buf = np.ascontiguousarray(_sites_last(data))
         self.algebra = algebra

@@ -29,8 +29,8 @@ from .cochain import (
     shifted_read,
 )
 from .curvature import plane_curvature
-from .hodge import METRICS, star, star_table
-from .lattice import Window
+from .hodge import star, star_table
+from .lattice import METRICS, Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
 

@@ -20,7 +20,7 @@ text is shortest round-trip decimal and writes -0.0 as `-0.0`).  `save`
 builds the whole JSON text in memory before it opens the file, about 4 MB
 for an 8^4 curvature.  Data must be finite numbers: JSON has no NaN or
 Infinity, so `save` refuses such fields, and `load` refuses non-finite or
-boolean data entries.
+boolean data entries.  `save` also refuses the labels `load` refuses.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ import json
 import numpy as np
 
 from .cochain import ALGEBRA_KINDS, ConnectionField, CurvatureField, Field, GaugeField
-from .hodge import METRICS
-from .lattice import BOUNDARIES, Window
+from .lattice import BOUNDARIES, METRICS, Window
 
 FORMAT_VERSION = 1
 
@@ -55,6 +54,7 @@ class FieldShapeError(FieldIOError):
 
 def save(field: Field, path) -> None:
     # Checked before the file is opened, so a refused save leaves no file.
+    _check_labels(field.metric, field.algebra)
     if not np.all(np.isfinite(field.data)):
         raise FieldFormatError("cannot save non-finite data (NaN or Infinity)")
     flat = np.ascontiguousarray(field.data).reshape(-1)
@@ -107,13 +107,8 @@ def load(path) -> Field:
     if boundary not in BOUNDARIES:
         raise FieldFormatError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     metric = doc.get("metric")
-    if metric is not None and metric not in METRICS:
-        raise FieldFormatError(f"metric must be one of {METRICS} or null, got {metric!r}")
     algebra = _require(doc, "algebra")
-    if algebra not in ALGEBRA_KINDS:
-        raise FieldFormatError(
-            f"algebra must be one of {ALGEBRA_KINDS}, got {algebra!r}"
-        )
+    _check_labels(metric, algebra)
     raw = _require(doc, "data")
     if not isinstance(raw, list):
         raise FieldFormatError("data must be a list of [re, im] pairs")
@@ -146,6 +141,13 @@ def load(path) -> Field:
     window = Window(tuple(dims), boundary)
     field = cls(window, values.reshape(shape), algebra=algebra, metric=metric)
     return field
+
+
+def _check_labels(metric, algebra) -> None:
+    if metric is not None and metric not in METRICS:
+        raise FieldFormatError(f"metric must be one of {METRICS} or null, got {metric!r}")
+    if algebra not in ALGEBRA_KINDS:
+        raise FieldFormatError(f"algebra must be one of {ALGEBRA_KINDS}, got {algebra!r}")
 
 
 def _is_int(value) -> bool:

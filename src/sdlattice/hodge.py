@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochain import PLANE_INDEX, CurvatureField, shifted_read
-from .lattice import Index
+from .lattice import METRICS, Index
 
 _EUCLID_SIGNS = {
     (3, 4): 1, (2, 4): -1, (2, 3): 1,
@@ -31,8 +31,6 @@ _MINK_SIGNS = {
     (3, 4): 1, (2, 4): -1, (2, 3): 1,
     (1, 4): -1, (1, 3): 1, (1, 2): -1,
 }
-
-METRICS = ("euclid", "mink")
 
 
 def complement_plane(plane: tuple[int, int]) -> tuple[int, int]:

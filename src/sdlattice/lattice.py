@@ -13,6 +13,7 @@ from typing import Iterator
 Index = tuple[int, int, int, int]
 
 BOUNDARIES = ("periodic", "zero")
+METRICS = ("euclid", "mink")
 
 
 @dataclass(frozen=True)

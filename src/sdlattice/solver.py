@@ -13,17 +13,16 @@ euclid reach tol by flattening A, with R / ||F||^2 left near 2; only sl2c
 mink ends with R well below ||F||^2.
 
 `solve` is L-BFGS with an exact line search, preconditioned in Fourier
-space.  At A = 0 the residual is linear, r = (a + b S) D A with D the
-forward-difference curl and S the star, and it commutes with translations,
-so a Fourier transform over the four site axes block-diagonalises the
-Hessian of R: per momentum p it is M(p) = C(p)^H C(p), C(p) = (a + b S(p))
-D(p) a 6x4 matrix (`_hessian_symbol`).  The initial inverse Hessian of the
-two-loop recursion is H0 = gamma P with P = (M + mu I)^-1 taken per
-momentum, gamma = s.y / y.P y of the newest pair, and the first direction
-is -P g (Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright,
-Numerical Optimization, section 7.2).  mu = PRECONDITIONER_SHIFT times the
-largest eigenvalue of the symbol stands in for its null space: constant
-modes, pure-gauge directions and the kernel of a + b S.  Real su(2)
+space.  At A = 0 the residual r = C A is linear and commutes with
+translations, so per momentum p the Hessian of R is M(p) = C(p)^H C(p),
+C(p) a 6x4 matrix that `_hessian_symbol` reads off the kernels' responses
+to unit impulses.  The initial inverse Hessian of the two-loop recursion
+is H0 = gamma P with P = (M + mu I)^-1 taken per momentum,
+gamma = s.y / y.P y of the newest pair, and the first direction is -P g
+(Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright, Numerical
+Optimization, section 7.2).  mu = PRECONDITIONER_SHIFT times the largest
+eigenvalue of the symbol stands in for its null space: constant modes,
+pure-gauge directions and the kernel of F -> a F + b *F.  Real su(2)
 coordinates meeting complex (a, b) pair p with -p, so for su2 the symbol
 is symmetrised to (M(p) + conj M(-p)) / 2, the symbol of Re M.  P is built
 at the first solve on a window and cached per (dims, problem, algebra).
@@ -120,26 +119,37 @@ def _objective_and_residual(conn: ConnectionField, problem: DualityProblem):
     return float(np.sum(np.abs(res.buf) ** 2)), res
 
 
+def _real(z: np.ndarray, algebra_kind: str) -> np.ndarray:
+    """C-order real coordinates of basis coefficients z (last axis 3): the
+    real parts, then for sl2c the imaginary parts."""
+    if algebra_kind == "su2":
+        return np.ascontiguousarray(z.real)
+    if algebra_kind == "sl2c":
+        # out= keeps the coordinates C-order whatever the memory order of z
+        return np.concatenate([z.real, z.imag], axis=-1, out=np.empty(z.shape[:-1] + (6,)))
+    raise ValueError("solver requires an su2 or sl2c connection")
+
+
+def _complex(x: np.ndarray, algebra_kind: str) -> np.ndarray:
+    """Basis coefficients of real coordinates x, the inverse of `_real`
+    (su2 coordinates are returned as they are)."""
+    if algebra_kind == "su2":
+        return x
+    if algebra_kind == "sl2c":
+        return x[..., :3] + 1j * x[..., 3:]
+    raise ValueError("solver requires an su2 or sl2c connection")
+
+
 def connection_coefficients(conn: ConnectionField) -> np.ndarray:
     """Real coordinate array of shape dims + (4, n), n = 3 (su2) or 6 (sl2c)."""
-    c = sl2c_coefficients(conn.data)
-    if conn.algebra == "su2":
-        return np.ascontiguousarray(c.real)
-    if conn.algebra == "sl2c":
-        # c has the buffer's memory order; out= keeps the coordinates C-order
-        return np.concatenate([c.real, c.imag], axis=-1, out=np.empty(c.shape[:-1] + (6,)))
-    raise ValueError("solver requires an su2 or sl2c connection")
+    return _real(sl2c_coefficients(conn.data), conn.algebra)
 
 
 def connection_from_coefficients(
     coeff: np.ndarray, window: Window, algebra_kind: str
 ) -> ConnectionField:
     """Inverse of connection_coefficients."""
-    coeff = np.asarray(coeff, dtype=float)
-    if algebra_kind == "sl2c":
-        coeff = coeff[..., :3] + 1j * coeff[..., 3:]
-    elif algebra_kind != "su2":
-        raise ValueError("solver requires an su2 or sl2c connection")
+    coeff = _complex(np.asarray(coeff, dtype=float), algebra_kind)
     return ConnectionField.from_coefficients(window, coeff, algebra_kind)
 
 
@@ -153,13 +163,10 @@ def gradient_coefficients(conn: ConnectionField, problem: DualityProblem) -> np.
 
 
 def _coefficient_gradient(g_slots: np.ndarray, algebra_kind: str) -> np.ndarray:
-    """Project sites-last matrix gradients onto the real coordinates of the algebra."""
-    z = np.einsum("sij...,aij->...sa", g_slots.conj(), BASIS)
-    if algebra_kind == "su2":
-        return np.ascontiguousarray(z.real)
-    if algebra_kind == "sl2c":
-        return np.concatenate([z.real, -z.imag], axis=-1, out=np.empty(z.shape[:-1] + (6,)))
-    raise ValueError("solver requires an su2 or sl2c connection")
+    """Project sites-last matrix gradients onto the real coordinates of the
+    algebra: dR/dc = Re(conj(G) l) along coefficient c of basis element l,
+    and Re(i conj(G) l) along i c, so the gradient is `_real` of G conj(l)."""
+    return _real(np.einsum("sij...,aij->...sa", g_slots, BASIS.conj()), algebra_kind)
 
 
 def _require_periodic(window: Window) -> None:
@@ -351,24 +358,22 @@ def _lbfgs_direction(g: np.ndarray, history: deque, precondition) -> np.ndarray:
 def _hessian_symbol(dims: tuple, problem: DualityProblem, algebra_kind: str) -> np.ndarray:
     """Hessian of the objective at A = 0 per momentum p, shape dims + (4, 4).
 
-    Momentum p_i = 2 pi n_i / N_i is the transform x(p) = sum_k x_k e^{-i p.k},
-    under which a read at offset o multiplies by e^{i p.o}.  C(p) = (a + b S(p))
-    D(p): the curl D has entries +/-(e^{i p_i} - 1), and S is the star's signed
-    move table with phase e^{-i (p_a + p_b)} for source plane (a, b).  M = C^H C
-    acts on complex coefficients (sl2c); for real su2 coefficients the Hessian
-    is Re M, whose symbol is (M(p) + conj M(-p)) / 2.
+    Column c of C(p) is the transform (`_dft`) of the response of
+    `residual(curvature(.))` to a unit impulse in component c at the origin:
+    an impulse in one component meets no product term, and the kernels act
+    on each matrix entry alike, so entry (0, 0) of the response is enough.
+    M = C^H C acts on complex coefficients (sl2c); for real su2 coefficients
+    the Hessian is Re M, whose symbol is (M(p) + conj M(-p)) / 2.
     """
-    p = np.meshgrid(*(2 * np.pi * np.arange(n) / n for n in dims), indexing="ij")
-    d = np.zeros(dims + (6, 4), dtype=complex)
-    for n, (i, j) in enumerate(PLANES):
-        d[..., n, j - 1] = np.exp(1j * p[i - 1]) - 1
-        d[..., n, i - 1] = 1 - np.exp(1j * p[j - 1])
-    a, b = problem.coefficients
-    c = a * d
-    for source, target, sign, offsets in star_table(problem.metric).moves:
-        phase = sign * np.exp(1j * sum(o * pk for o, pk in zip(offsets, p)))
-        c[..., target, :] += b * phase[..., None] * d[..., source, :]
-    m = c.conj().swapaxes(-1, -2) @ c
+    window = Window(dims, "periodic")
+    response = np.empty((6, 4) + dims, dtype=complex)
+    for axis in range(4):
+        impulse = ConnectionField.zeros(window, "general")
+        impulse.buf[axis, 0, 0, 0, 0, 0, 0] = 1.0
+        response[:, axis] = residual(curvature(impulse), problem).buf[:, 0, 0]
+    c = _dft(dims[:2]) @ (response.reshape(24, -1, dims[2] * dims[3]) @ _dft(dims[2:]))
+    c = c.reshape(response.shape)
+    m = np.einsum("ta...,tb...->...ab", c.conj(), c)
     if algebra_kind == "su2":
         m = 0.5 * (m + m[np.ix_(*((-np.arange(n)) % n for n in dims))].conj())
     return m
@@ -402,19 +407,13 @@ def _preconditioner(dims: tuple, problem: DualityProblem, algebra_kind: str):
     inv = np.ascontiguousarray(inv.reshape(n_sites, 4, 4).transpose(1, 2, 0)[:, :, None, :])
     f12, f34 = _dft(dims[:2]), _dft(dims[2:])
     b12, b34 = f12.conj() / n12, f34.conj() / n34
-    width = 3 if algebra_kind == "su2" else 6
 
     def apply(v: np.ndarray) -> np.ndarray:
-        x = v.reshape(n_sites, 4, width).transpose(1, 2, 0)
-        x = x.astype(complex) if width == 3 else x[:, :3] + 1j * x[:, 3:]
+        x = _complex(v.reshape(n_sites, 4, -1), algebra_kind).transpose(1, 2, 0)
         # DFT matrices are symmetric, so the axes 3-4 product is x @ f34
         x = (f12 @ (x.reshape(-1, n34) @ f34).reshape(-1, n12, n34)).reshape(4, 3, n_sites)
         x = inv[:, 0] * x[0] + inv[:, 1] * x[1] + inv[:, 2] * x[2] + inv[:, 3] * x[3]
         x = (b12 @ (x.reshape(-1, n34) @ b34).reshape(-1, n12, n34)).reshape(4, 3, n_sites)
-        out = np.empty((n_sites, 4, width))
-        out[..., :3] = x.real.transpose(2, 0, 1)
-        if width == 6:
-            out[..., 3:] = x.imag.transpose(2, 0, 1)
-        return out.ravel()
+        return _real(x.transpose(2, 0, 1), algebra_kind).ravel()
 
     return apply

@@ -1,6 +1,9 @@
 """Per-site reference helpers the tests compare the whole-field kernels against,
 and the difference form of the diagonal relation (relation 13) checked on A.
 
+Also the closed form of the Hessian symbol at A = 0 that the solver's
+preconditioner reads off the kernels.
+
 Sites are 4-tuples, axes 1-based.  Reads resolve a possibly-outside site
 the way the window does: periodic windows wrap, zero windows read the zero
 matrix (the identity for a gauge field).
@@ -12,7 +15,8 @@ import numpy as np
 from sdlattice.algebra import as_rng, dagger, from_coefficients, random_coefficients
 from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import plane_curvature
-from sdlattice.duality import RelationReport
+from sdlattice.duality import DualityProblem, RelationReport
+from sdlattice.hodge import star_table
 
 AXES = (1, 2, 3, 4)
 
@@ -128,3 +132,31 @@ def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> Relat
         rhs = plane_curvature(conn, *plane, base=(-1, -1, -1, -1))
         violation = max(violation, float(np.max(np.abs(lhs - rhs))))
     return RelationReport(holds=violation <= tol, max_violation=violation)
+
+
+def hessian_symbol_closed_form(dims, problem: DualityProblem, algebra_kind: str) -> np.ndarray:
+    """Hessian of the solver objective at A = 0 per momentum p, shape
+    dims + (4, 4), written out in Fourier space.
+
+    Momentum p_i = 2 pi n_i / N_i is the transform x(p) = sum_k x_k e^{-i p.k},
+    under which a read at offset o multiplies by e^{i p.o}.  C(p) = (a + b S(p))
+    D(p): the curl D has entries +/-(e^{i p_i} - 1), and S is the star's signed
+    move table with phase e^{-i (p_a + p_b)} for source plane (a, b).  M = C^H C
+    acts on complex coefficients (sl2c); for real su2 coefficients the Hessian
+    is Re M, whose symbol is (M(p) + conj M(-p)) / 2.
+    """
+    dims = tuple(dims)
+    p = np.meshgrid(*(2 * np.pi * np.arange(n) / n for n in dims), indexing="ij")
+    d = np.zeros(dims + (6, 4), dtype=complex)
+    for n, (i, j) in enumerate(PLANES):
+        d[..., n, j - 1] = np.exp(1j * p[i - 1]) - 1
+        d[..., n, i - 1] = 1 - np.exp(1j * p[j - 1])
+    a, b = problem.coefficients
+    c = a * d
+    for source, target, sign, offsets in star_table(problem.metric).moves:
+        phase = sign * np.exp(1j * sum(o * pk for o, pk in zip(offsets, p)))
+        c[..., target, :] += b * phase[..., None] * d[..., source, :]
+    m = c.conj().swapaxes(-1, -2) @ c
+    if algebra_kind == "su2":
+        m = 0.5 * (m + m[np.ix_(*((-np.arange(n)) % n for n in dims))].conj())
+    return m

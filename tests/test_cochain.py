@@ -79,6 +79,22 @@ def test_shifted_read_zero_pads_outside():
     assert not np.any(far)
 
 
+def test_shifted_read_zero_matches_sitewise_padding():
+    # every offset in {-3..3}^4, so each axis of length 1, 2 and 3 reads from
+    # inside, across the edge and wholly outside the box; the one inside
+    # block of the shared block table is all that is copied over the fill
+    w = Window((3, 1, 2, 3), "zero")
+    data = random_connection(w, "sl2c", seed=3).buf[1]
+    fill = np.array([[1.0, 2.0j], [-3.0, 0.5]])
+    sites = list(w.sites())
+    for offsets in itertools.product(range(-3, 4), repeat=4):
+        out = shifted_read(data, w, offsets, fill=fill)
+        for k in sites:
+            src = wrap(w, tuple(c + o for c, o in zip(k, offsets)))
+            expected = fill if src is None else data[(...,) + src]
+            assert np.array_equal(out[(...,) + k], expected)
+
+
 def test_shifted_read_returns_copy_for_zero_offsets():
     w = Window((2, 2, 2, 2), "periodic")
     data = np.zeros((2, 2) + w.dims, dtype=complex)
@@ -93,6 +109,10 @@ def test_field_shape_and_kind_validation():
         ConnectionField(w, np.zeros(w.dims + (6, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
         ConnectionField(w, np.zeros(w.dims + (4, 2, 2), dtype=complex), algebra="so3")
+    # a field file could not hold these labels
+    for metric in ("lorentz", "Euclid", ""):
+        with pytest.raises(ValueError, match="metric"):
+            CurvatureField(w, np.zeros(w.dims + (6, 2, 2), dtype=complex), metric=metric)
 
 
 def test_field_algebra_ops():

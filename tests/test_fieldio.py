@@ -197,6 +197,18 @@ def test_save_refuses_non_finite_data(tmp_path):
         assert not path.exists()
 
 
+def test_save_refuses_labels_that_load_refuses(tmp_path):
+    # a field relabelled after construction: save would write a file that
+    # load rejects, so it refuses before it opens the file
+    for attr, value in (("metric", "Euclid"), ("metric", "lorentz"), ("algebra", "so3")):
+        f = random_curvature(Window((2, 1, 1, 2)), seed=0)
+        setattr(f, attr, value)
+        path = tmp_path / "bad.field"
+        with pytest.raises(FieldFormatError, match=attr):
+            save(f, path)
+        assert not path.exists()
+
+
 def test_boolean_data_entries_rejected(tmp_path):
     # JSON true/false would otherwise load as 1.0/0.0
     for pair in ([True, False], [0.5, True], [False, 0.25]):

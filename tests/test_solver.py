@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from oracle import hessian_symbol_closed_form
 from sdlattice.algebra import basis, is_sl2c, is_su2
 from sdlattice.cochain import ConnectionField, shifted_read
 from sdlattice.curvature import constant_connection, curvature, random_connection
@@ -224,15 +225,28 @@ def _apply_symbol(symbol, v, dims, kind):
 @pytest.mark.parametrize("kind", ["su2", "sl2c"])
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: f"{p.metric}-{p.orientation}")
 def test_hessian_symbol_is_the_gradient_at_small_fields(kind, problem):
-    # at A = eps v the gradient is eps H v + O(eps^2), H the Hessian at A = 0
-    dims = (3, 2, 3, 2)
-    w = Window(dims, "periodic")
-    v = connection_coefficients(random_connection(w, kind, seed=12, scale=1.0)).ravel()
-    eps = 1e-7
-    g = gradient_coefficients(connection_from_coefficients(eps * v.reshape(dims + (4, -1)), w, kind),
-                              problem).ravel() / eps
-    hv = _apply_symbol(solver._hessian_symbol(dims, problem, kind), v, dims, kind)
-    assert np.linalg.norm(g - hv) <= 1e-6 * np.linalg.norm(hv)
+    # at A = eps v the gradient is eps H v + O(eps^2), H the Hessian at A = 0;
+    # on the second window a read along axis 3 wraps onto the site itself
+    for dims in ((3, 2, 3, 2), (3, 2, 1, 2)):
+        w = Window(dims, "periodic")
+        v = connection_coefficients(random_connection(w, kind, seed=12, scale=1.0)).ravel()
+        eps = 1e-7
+        a = connection_from_coefficients(eps * v.reshape(dims + (4, -1)), w, kind)
+        g = gradient_coefficients(a, problem).ravel() / eps
+        hv = _apply_symbol(solver._hessian_symbol(dims, problem, kind), v, dims, kind)
+        assert np.linalg.norm(g - hv) <= 1e-6 * np.linalg.norm(hv)
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: f"{p.metric}-{p.orientation}")
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 2, 2, 1), (4, 3, 2, 5), (1, 1, 1, 1)])
+def test_hessian_symbol_matches_the_closed_form(kind, problem, dims):
+    # the symbol read off the kernels' impulse responses against the curl
+    # and the star written out in Fourier space; on 1^4 both vanish exactly
+    symbol = solver._hessian_symbol(dims, problem, kind)
+    closed = hessian_symbol_closed_form(dims, problem, kind)
+    assert symbol.shape == closed.shape == dims + (4, 4)
+    assert np.abs(symbol - closed).max() <= 1e-14 * np.abs(closed).max()
 
 
 @pytest.mark.parametrize("kind", ["su2", "sl2c"])
