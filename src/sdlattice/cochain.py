@@ -55,7 +55,7 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     inside the box, over `fill` (default zeros), a 2x2 matrix broadcast
     over the sites.  The result is a new array in the memory order of
     `data`.  Raises ValueError if the last four axes of `data` are not the
-    window dims.
+    window dims or if `offsets` does not have four entries.
     """
     if data.shape[-4:] != window.dims:
         raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
@@ -78,7 +78,10 @@ def _blocks(dims: tuple, offsets: tuple) -> tuple:
     [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
     A block is inside if no read wraps (each source starts at its
     destination plus the offset): one block at most, none if |offset| >= n.
+    Raises ValueError unless there is one offset per axis.
     """
+    if len(offsets) != len(dims):
+        raise ValueError(f"offsets must have {len(dims)} entries, got {offsets!r}")
     blocks = [((...,), (...,), True)]
     for n, off in zip(dims, offsets):
         s = off % n

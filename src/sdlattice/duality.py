@@ -29,7 +29,7 @@ from .cochain import (
     shifted_read,
 )
 from .curvature import plane_curvature
-from .hodge import star, star_table
+from .hodge import star, star_moves
 from .lattice import METRICS, Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
@@ -95,7 +95,7 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
     out.metric = problem.metric
     # one star move per plane: its source curvature read at the move's offsets
-    for source, target, sign, offsets in star_table(problem.metric).moves:
+    for source, target, sign, offsets in star_moves(problem.metric):
         own = plane_curvature(conn, *PLANES[target])
         other = sign * plane_curvature(conn, *PLANES[source], base=offsets)
         out.buf[target] = a * own + b * other
@@ -128,8 +128,9 @@ def synthetic_dual_curvature(
     g = out.buf[PLANE_INDEX[(1, 2)]]  # the sites-last view of slice12 that shifted_read takes
     if not np.array_equal(g, shifted_read(g, window, (-1, -1, -1, -1))):
         raise ValueError("generator slice is not diagonal-shift invariant")
-    companion = -b * star_table(metric).sign((1, 2)) / a
-    out.buf[PLANE_INDEX[(3, 4)]] = companion * shifted_read(g, window, (-1, -1, 0, 0))
+    _, target, sign12, offsets = star_moves(metric)[PLANE_INDEX[(1, 2)]]
+    companion = -b * sign12 / a
+    out.buf[target] = companion * shifted_read(g, window, offsets)
     return out
 
 

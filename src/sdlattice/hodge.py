@@ -1,98 +1,51 @@
 """Discrete Hodge star on 2-cochains, Euclidean and Minkowski.
 
-The star permutes plane components with a sign and a pair shift.  Component
-form (used by `star`): for each source plane (i, j) with complementary
-target plane,
+The star is one signed permutation of the six plane slots with a pair
+shift, written once as a move table (`star_moves`): one row per source
+plane (i, j), in `PLANES` order,
+
+    (source slot, target slot, sign, offsets),
+
+with target the complementary plane and offsets -1 on axes i and j.  In
+component form (used by `star`),
 
     (*F)^target_k = sign(i, j) * F^{ij}_{sigma_ij k}.
 
-Euclidean signs on sources (34, 24, 23, 14, 13, 12) are (+, -, +, +, -, +);
-Minkowski signs are (+, -, +, -, +, -).  The equivalent basis action is
+Euclidean signs on sources (12, 13, 14, 23, 24, 34) are (+, -, +, +, -, +);
+Minkowski signs are (-, +, -, +, -, +).  The equivalent basis action is
 ``* eps^k_ij = sign(i, j) * eps^{tau_ij k}_target`` (up-shift instead of the
 down-shift that appears when components are collected at a fixed site).
-Applying the star twice shifts every slot diagonally down, with an overall
-minus sign in the Minkowski case.
+The transpose reads each row backwards: slot source of S^T r is sign times
+slot target of r read at -offsets.  Applying the star twice shifts every
+slot diagonally down, with an overall minus sign in the Minkowski case.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cochain import PLANE_INDEX, CurvatureField, shifted_read
+from .cochain import PLANE_INDEX, PLANES, CurvatureField, shifted_read
 from .lattice import METRICS, Index
 
-_EUCLID_SIGNS = {
-    (3, 4): 1, (2, 4): -1, (2, 3): 1,
-    (1, 4): 1, (1, 3): -1, (1, 2): 1,
+# Star sign of each source plane, in PLANES order.
+_SIGNS = {"euclid": (1, -1, 1, 1, -1, 1), "mink": (-1, 1, -1, 1, -1, 1)}
+
+_MOVES = {
+    metric: tuple(
+        (source, PLANE_INDEX[tuple(a for a in (1, 2, 3, 4) if a not in plane)], sign,
+         tuple(-int(a in plane) for a in (1, 2, 3, 4)))
+        for source, (plane, sign) in enumerate(zip(PLANES, signs))
+    )
+    for metric, signs in _SIGNS.items()
 }
-_MINK_SIGNS = {
-    (3, 4): 1, (2, 4): -1, (2, 3): 1,
-    (1, 4): -1, (1, 3): 1, (1, 2): -1,
-}
 
 
-def complement_plane(plane: tuple[int, int]) -> tuple[int, int]:
-    """The two axes not in `plane`, in increasing order."""
-    i, j = plane
-    return tuple(a for a in (1, 2, 3, 4) if a not in (i, j))
-
-
-@dataclass(frozen=True)
-class StarTable:
-    """Signed plane permutation defining the star for one metric.
-
-    Each source plane maps to its complementary target plane; the shift
-    accompanying the move is over the source plane's own axes (tau for the
-    basis action, sigma when reading components into a fixed site).
-    """
-
-    metric: str
-    signs: tuple[tuple[tuple[int, int], int], ...]
-
-    def sign(self, source_plane: tuple[int, int]) -> int:
-        return dict(self.signs)[source_plane]
-
-    def target(self, source_plane: tuple[int, int]) -> tuple[int, int]:
-        return complement_plane(source_plane)
-
-    @functools.cached_property
-    def square_sign(self) -> int:
-        """epsilon in ** = epsilon (diagonal down-shift): +1 euclid, -1 mink.
-
-        A plane and its complement are each other's source, so the star
-        taken twice multiplies every slot by the product of their signs.
-        """
-        return self.sign((1, 2)) * self.sign((3, 4))
-
-    def entries(self):
-        """(source, target, sign, shift_plane) rows, one per source plane."""
-        for plane, s in self.signs:
-            yield plane, complement_plane(plane), s, plane
-
-    @functools.cached_property
-    def moves(self) -> tuple:
-        """`entries` as buffer moves, built once: (source slot, target slot,
-        sign, offsets) rows, offsets -1 on the source plane's axes.  Slot
-        `target` of the star is `sign` times slot `source` read at `offsets`."""
-        return tuple(
-            (PLANE_INDEX[source], PLANE_INDEX[target], sign,
-             tuple(-1 if axis in shift else 0 for axis in (1, 2, 3, 4)))
-            for source, target, sign, shift in self.entries()
-        )
-
-
-EUCLID_TABLE = StarTable("euclid", tuple(_EUCLID_SIGNS.items()))
-MINK_TABLE = StarTable("mink", tuple(_MINK_SIGNS.items()))
-
-
-def star_table(metric: str) -> StarTable:
-    if metric == "euclid":
-        return EUCLID_TABLE
-    if metric == "mink":
-        return MINK_TABLE
-    raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+def star_moves(metric: str) -> tuple:
+    """(source slot, target slot, sign, offsets) rows of the star, one per
+    source slot in `PLANES` order: slot `target` of the star is `sign`
+    times slot `source` read at `offsets`."""
+    if metric not in _MOVES:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    return _MOVES[metric]
 
 
 def star_basis_action(plane: tuple[int, int], k: Index, metric: str):
@@ -100,9 +53,8 @@ def star_basis_action(plane: tuple[int, int], k: Index, metric: str):
 
     ``* eps^k_plane = sign * eps^{tau_plane k}_target``.
     """
-    table = star_table(metric)
-    shifted = tuple(c + 1 if axis in plane else c for axis, c in enumerate(k, start=1))
-    return table.target(plane), shifted, table.sign(plane)
+    _, target, sign, offsets = star_moves(metric)[PLANE_INDEX[plane]]
+    return PLANES[target], tuple(c - o for c, o in zip(k, offsets)), sign
 
 
 def star(field: CurvatureField, metric: str) -> CurvatureField:
@@ -113,7 +65,7 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
     """
     w = field.window
     buf = np.empty_like(field.buf)
-    for source, target, sign, offsets in star_table(metric).moves:
+    for source, target, sign, offsets in star_moves(metric):
         np.multiply(shifted_read(field.buf[source], w, offsets), sign, out=buf[target])
     return CurvatureField._from_buf(w, buf, field.algebra, metric)
 

@@ -7,6 +7,7 @@ periodic wrapping or zero-padded reads outside the box.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,10 +25,11 @@ class Window:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) != 4 or any(n < 1 for n in dims):
+        dims = tuple(self.dims)
+        integers = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in dims)
+        if len(dims) != 4 or not integers or any(n < 1 for n in dims):
             raise ValueError(f"dims must be four positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
         if self.boundary not in BOUNDARIES:
             raise ValueError(
                 f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"

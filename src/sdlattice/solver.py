@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
 from .cochain import PLANES, ConnectionField, CurvatureField, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
-from .hodge import star_table
+from .hodge import star_moves
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
@@ -54,10 +55,9 @@ LBFGS_MEMORY = 10
 # mu of the preconditioner (M + mu I)^-1, relative to the largest eigenvalue of M.
 PRECONDITIONER_SHIFT = 1e-2
 
-# Unit read offsets +e_i and -e_i per axis i, and +1 on both axes of each plane slot.
+# Unit read offsets +e_i and -e_i per axis i.
 _UP = {i: tuple(int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
 _DOWN = {i: tuple(-int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
-_PLANE_UP = tuple(tuple(int(k in plane) for k in (1, 2, 3, 4)) for plane in PLANES)
 
 
 @dataclass
@@ -75,12 +75,12 @@ class SolveConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("max_iter", "trace_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
 
 @dataclass
@@ -184,17 +184,14 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     if res is None:
         res = residual(curvature(conn), problem)
     # Adjoint of the residual operator a F + b S F applied to the residual
-    # itself: 2 (conj(a) res + conj(b) S^T res).  The star S is a signed
-    # permutation, so S^T = S^-1 = epsilon tau S by the double-star identity
-    # (epsilon = +1 euclid, -1 mink; tau the diagonal up-shift): each star
-    # move read at the composed offset, +1 on the target plane's axes,
-    # straight into the target slot, then scaled in place.
+    # itself: 2 (conj(a) res + conj(b) S^T res).  S^T reads each star move
+    # backwards: slot source gets sign times slot target read at -offsets.
     a, b = problem.coefficients
-    table = star_table(problem.metric)
     g_f = np.empty_like(res.buf)
-    for source, target, sign, _ in table.moves:
-        np.multiply(shifted_read(res.buf[source], w, _PLANE_UP[target]), sign, out=g_f[target])
-    g_f *= b.conjugate() * table.square_sign
+    for source, target, sign, offsets in star_moves(problem.metric):
+        back = tuple(-o for o in offsets)
+        np.multiply(shifted_read(res.buf[target], w, back), sign, out=g_f[source])
+    g_f *= b.conjugate()
     g_f += a.conjugate() * res.buf
     g_f *= 2.0
 

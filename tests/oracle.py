@@ -16,7 +16,7 @@ from sdlattice.algebra import as_rng, dagger, from_coefficients, random_coeffici
 from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import plane_curvature
 from sdlattice.duality import DualityProblem, RelationReport
-from sdlattice.hodge import star_table
+from sdlattice.hodge import star_moves
 
 AXES = (1, 2, 3, 4)
 
@@ -153,7 +153,7 @@ def hessian_symbol_closed_form(dims, problem: DualityProblem, algebra_kind: str)
         d[..., n, i - 1] = 1 - np.exp(1j * p[j - 1])
     a, b = problem.coefficients
     c = a * d
-    for source, target, sign, offsets in star_table(problem.metric).moves:
+    for source, target, sign, offsets in star_moves(problem.metric):
         phase = sign * np.exp(1j * sum(o * pk for o, pk in zip(offsets, p)))
         c[..., target, :] += b * phase[..., None] * d[..., source, :]
     m = c.conj().swapaxes(-1, -2) @ c

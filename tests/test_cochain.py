@@ -103,6 +103,16 @@ def test_shifted_read_returns_copy_for_zero_offsets():
     assert not np.any(data)
 
 
+def test_shifted_read_refuses_offsets_without_four_entries():
+    # a short tuple would shift the wrong axis and a long one drop an entry
+    w = Window((3, 3, 3, 3), "periodic")
+    data = np.arange(81.0).reshape(w.dims)
+    for offsets in ((1,), (0, 0, 0, 0, 1)):
+        for window in (w, Window(w.dims, "zero")):
+            with pytest.raises(ValueError):
+                shifted_read(data, window, offsets)
+
+
 def test_field_shape_and_kind_validation():
     w = Window((2, 2, 2, 2))
     with pytest.raises(ValueError):

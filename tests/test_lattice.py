@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from oracle import shift_diag, shift_down, shift_pair, shift_up, wrap
@@ -79,6 +80,13 @@ def test_window_validation():
         Window((4, 4, 4))
     with pytest.raises(ValueError):
         Window((4, 4, 4, 4), "open")
+    # dims are integers: no truncation of floats and no bools standing in for 1
+    for dims in ((2, 2, 2, 2.7), (2, 2, 2, 2.0), (2, 2, 2, True), (2, 2, 2, "2")):
+        with pytest.raises(ValueError):
+            Window(dims)
+    w = Window((np.int64(2), np.int32(3), 1, np.uint8(4)))
+    assert w.dims == (2, 3, 1, 4)
+    assert all(type(n) is int for n in w.dims)
 
 
 def test_window_parse():

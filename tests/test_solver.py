@@ -345,6 +345,32 @@ def test_config_validation():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, tol=value)
+    # counts are integers: a float max_iter used to fail inside solve, and
+    # True ran one iteration
+    for kwargs in ({"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 3.0},
+                   {"trace_every": 1.5}, {"trace_every": True}):
+        with pytest.raises(ValueError):
+            SolveConfig(EUCLID_SD, **kwargs)
+    cfg = SolveConfig(EUCLID_SD, max_iter=np.int64(3), trace_every=np.int32(2))
+    a0 = random_connection(Window((2, 2, 2, 2), "periodic"), "su2", seed=0, scale=1e-2)
+    assert solve(a0, cfg)[1].iterations <= 3
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: f"{p.metric}-{p.orientation}")
+def test_solve_flattens_except_sl2c_mink(kind, problem):
+    # from a small start, su2 (either metric) and sl2c/euclid reach tol by
+    # flattening A: R / |F|^2 stays near 2, the value for a random F.  Only
+    # sl2c/mink ends at a non-flat field that is dual to well below |F|^2
+    # (measured 1.98-2.00 and 2.8e-5)
+    a0 = random_connection(Window((3, 3, 3, 3), "periodic"), kind, seed=0, scale=1e-2)
+    out, report = solve(a0, SolveConfig(problem, tol=1e-8))
+    assert report.stop_reason == "converged"
+    ratio = report.final_residual / float(np.sum(np.abs(curvature(out).buf) ** 2))
+    if kind == "sl2c" and problem.metric == "mink":
+        assert ratio < 1e-3
+    else:
+        assert ratio > 1.9
 
 
 def test_solve_rejects_values_outside_the_algebra():
