@@ -42,7 +42,7 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def mul(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Matrix product x y of 2x2 matrices whose entries are the first two axes.
 
     The axes after the first two index the stack (the sites of a
@@ -50,9 +50,12 @@ def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     shape (2, 2, 1, ...).  Entry (r, c) is x_r0 y_0c + x_r1 y_1c, computed as
     the sum of two broadcast outer products (column of x times row of y),
     each a contiguous sweep over the stack when the operands are sites-last
-    buffers.  The result is a new array.
+    buffers.  The result goes to `out`, which must not overlap x or y (the
+    second product reads them after the first is written), or to a new array.
     """
-    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+    out = np.multiply(x[:, 0, None], y[None, 0], out)
+    out += x[:, 1, None] * y[None, 1]
+    return out
 
 
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:

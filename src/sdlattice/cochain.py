@@ -14,6 +14,7 @@ whole-field operation is one contiguous sweep; their one site read,
 `shifted_read`, takes any array whose last four axes are the sites, such
 as `buf` or one of its slots, and copies blocks of one cached table: all
 of them on periodic windows, only the one inside the box on zero windows.
+The kernels sweep slabs of first-axis rows (`_slabs`) so that intermediates stay in cache.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ def _sites_last(x: np.ndarray) -> np.ndarray:
     return x.transpose(_TO_SITES_LAST[x.ndim])
 
 
-def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.ndarray:
+def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None, out=None):
     """Whole-field shifted read over the trailing site axes:
     out[..., k] = data[..., k + offsets].
 
@@ -53,42 +54,67 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None) -> np.nda
     blocks of one cached table (`_blocks`): periodic windows copy every
     block, so reads wrap; zero windows copy only the block that stays
     inside the box, over `fill` (default zeros), a 2x2 matrix broadcast
-    over the sites.  The result is a new array in the memory order of
-    `data`.  Raises ValueError if the last four axes of `data` are not the
-    window dims or if `offsets` does not have four entries.
+    over the sites.  rows=(lo, hi) reads first indices [lo, hi) only, into
+    `out` (not overlapping `data`) or a new array in the order of `data`.
+    Raises ValueError if the last four axes of `data` are not the window
+    dims or if `offsets` does not have four entries.
     """
     if data.shape[-4:] != window.dims:
         raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
     periodic = window.boundary == "periodic"
-    out = np.empty_like(data) if periodic or fill is not None else np.zeros_like(data)
+    if out is None:
+        like = np.empty_like if periodic or fill is not None else np.zeros_like
+        out = like(data) if rows is None else like(
+            data, shape=data.shape[:-4] + (rows[1] - rows[0],) + data.shape[-3:])
+    elif not periodic and fill is None:
+        out[...] = 0
     if not periodic and fill is not None:
         out[...] = np.asarray(fill)[..., None, None, None, None]
-    for dst, src, inside in _blocks(window.dims, tuple(offsets)):
+    for dst, src, inside in _blocks(window.dims, tuple(offsets), rows):
         if periodic or inside:
             out[dst] = data[src]
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _blocks(dims: tuple, offsets: tuple) -> tuple:
+@functools.lru_cache(maxsize=4096)
+def _blocks(dims: tuple, offsets: tuple, rows=None) -> tuple:
     """(destination, source, inside) rows whose copies make a periodic read;
     destination and source are an Ellipsis then one slice per site axis.
 
     Along an axis shifted by s = offset mod n > 0, sites [0, n - s) read
     [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
-    A block is inside if no read wraps (each source starts at its
-    destination plus the offset): one block at most, none if |offset| >= n.
-    Raises ValueError unless there is one offset per axis.
+    rows=(lo, hi) cuts destinations to [lo, hi) on the first axis, counted
+    from lo.  A block is inside if no read wraps (source = destination +
+    offset): one at most, none if |offset| >= n.  Raises ValueError unless
+    there is one offset per axis.
     """
     if len(offsets) != len(dims):
         raise ValueError(f"offsets must have {len(dims)} entries, got {offsets!r}")
     blocks = [((...,), (...,), True)]
-    for n, off in zip(dims, offsets):
+    for n, off, (lo, hi) in zip(dims, offsets, [rows or (0, dims[0])] + [(0, n) for n in dims[1:]]):
         s = off % n
-        pairs = ((slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s)))[: 2 if s else 1]
-        blocks = [(d + (pd,), r + (pr,), inside and pr.start == pd.start + off)
-                  for d, r, inside in blocks for pd, pr in pairs]
+        # destinations [d, e) read [d + sh, e + sh), cut to [lo, hi)
+        runs = [(max(d, lo), min(e, hi), sh) for d, e, sh in ((0, n - s, s), (n - s, n, s - n))
+                if max(d, lo) < min(e, hi)]
+        blocks = [(dst + (slice(d - lo, e - lo),), src + (slice(d + sh, e + sh),),
+                   inside and sh == off) for dst, src, inside in blocks for d, e, sh in runs]
     return tuple(blocks)
+
+
+# Sites per slab: a slot of 4 096 sites is 256 KiB, so a plane's intermediates stay
+# in a 2 MiB L2.  One kernels-16 op pair took 833 ms at 4 096 (1 row), 824 at 8 192,
+# 886 at 16 384 and 1 173 as one slab; at 8^4, 51 ms as one slab, 67 at 2 048.
+SLAB_SITES = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _slabs(dims: tuple) -> tuple:
+    """((lo, hi) of the first site axis, its sites-last index) per slab."""
+    step = max(1, SLAB_SITES // (dims[1] * dims[2] * dims[3]))
+    if step >= dims[0]:
+        return ((None, ...),)
+    return tuple(((lo, min(lo + step, dims[0])), (..., slice(lo, lo + step)) + (slice(None),) * 3)
+                 for lo in range(0, dims[0], step))
 
 
 class Field:

@@ -20,12 +20,13 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     GaugeField,
+    _slabs,
     shifted_read,
 )
 from .lattice import Window
 
 
-def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) -> np.ndarray:
+def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0), rows=None, out=None):
     """The curvature expression for plane (i, j), every read offset by `base`:
 
         Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j)
@@ -33,32 +34,39 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0)) ->
     Offsets compose on Z^4 before the boundary mode resolves them, matching
     the printed composite subscripts (e.g. A^4 at sigma_34 k + e_3 reads at
     sigma_4 k); `base=0` gives the F^{ij} slot of `curvature`.  The result
-    is sites-last, shape (2, 2) + dims, like one slot of `Field.buf`.
+    is sites-last, shape (2, 2) + dims, like one slot of `Field.buf`, cut to
+    first indices [lo, hi) by rows=(lo, hi); it goes to `out` or a new array.
     """
     w = conn.window
     ai, aj = conn.buf[i - 1], conn.buf[j - 1]
     up_i, up_j = list(base), list(base)
     up_i[i - 1] += 1
     up_j[j - 1] += 1
-    aj_up_i = shifted_read(aj, w, up_i)
-    ai_up_j = shifted_read(ai, w, up_j)
+    aj_up_i = shifted_read(aj, w, up_i, rows=rows)
+    ai_up_j = shifted_read(ai, w, up_j, rows=rows)
     if any(base):
-        ai, aj = shifted_read(ai, w, base), shifted_read(aj, w, base)
-    # accumulated in place, left to right as printed
-    out = aj_up_i - aj
-    out -= ai_up_j - ai
-    out += algebra.mul(ai, aj_up_i)
-    out -= algebra.mul(aj, ai_up_j)
+        ai, aj = shifted_read(ai, w, base, rows=rows), shifted_read(aj, w, base, rows=rows)
+    elif rows is not None:
+        ai, aj = ai[:, :, rows[0]:rows[1]], aj[:, :, rows[0]:rows[1]]
+    # accumulated in place, left to right as printed; t holds each term
+    out = np.subtract(aj_up_i, aj, out)
+    t = ai_up_j - ai
+    out -= t
+    out += algebra.mul(ai, aj_up_i, out=t)
+    out -= algebra.mul(aj, ai_up_j, out=t)
     return out
 
 
 def curvature(conn: ConnectionField) -> CurvatureField:
-    """Curvature 2-cochain of a connection, same window and boundary mode."""
+    """Curvature 2-cochain of a connection, same window and boundary mode,
+    written slab by slab (`cochain._slabs`) straight into its plane slots."""
     # product terms leave su(2)/sl(2,C), so curvature values are general
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
-    for n, (i, j) in enumerate(PLANES):
-        out.buf[n] = plane_curvature(conn, i, j)
+    for rows, index in _slabs(conn.window.dims):
+        slab = out.buf[index]
+        for n, (i, j) in enumerate(PLANES):
+            plane_curvature(conn, i, j, rows=rows, out=slab[n])
     return out
 
 

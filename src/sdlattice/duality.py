@@ -24,6 +24,7 @@ from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
+    _slabs,
     diagonal_shift,
     max_entry,
     shifted_read,
@@ -71,10 +72,12 @@ class DualityProblem:
 def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
     """Residual 2-cochain a F + b *F of the duality operator; zero iff F is a solution."""
     a, b = problem.coefficients
-    # b *F is scaled in place, so a F is the only other full-size temporary.
     out = star(field, problem.metric)
-    out.buf *= b
-    out.buf += a * field.buf
+    # b *F is scaled in place, so a F is the one temporary, slab-sized
+    for _, index in _slabs(field.window.dims):
+        res = out.buf[index]
+        res *= b
+        res += a * field.buf[index]
     return out
 
 
@@ -94,11 +97,15 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     a, b = problem.coefficients
     out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
     out.metric = problem.metric
-    # one star move per plane: its source curvature read at the move's offsets
-    for source, target, sign, offsets in star_moves(problem.metric):
-        own = plane_curvature(conn, *PLANES[target])
-        other = sign * plane_curvature(conn, *PLANES[source], base=offsets)
-        out.buf[target] = a * own + b * other
+    # per slab and star move: a own plane + b sign (source plane at the offsets)
+    for rows, index in _slabs(conn.window.dims):
+        slab = out.buf[index]
+        for source, target, sign, offsets in star_moves(problem.metric):
+            own = plane_curvature(conn, *PLANES[target], rows=rows, out=slab[target])
+            np.multiply(a, own, out=own)
+            other = plane_curvature(conn, *PLANES[source], base=offsets, rows=rows)
+            np.multiply(sign, other, out=other)
+            own += np.multiply(b, other, out=other)
     return out
 
 

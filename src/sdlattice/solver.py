@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, CurvatureField, shifted_read
+from .cochain import PLANES, ConnectionField, CurvatureField, _blocks, _slabs, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
 from .hodge import star_moves
@@ -79,8 +79,9 @@ class SolveConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite positive real number, got {self.tol!r}")
 
 
 @dataclass
@@ -188,29 +189,44 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     # backwards: slot source gets sign times slot target read at -offsets.
     a, b = problem.coefficients
     g_f = np.empty_like(res.buf)
-    for source, target, sign, offsets in star_moves(problem.metric):
-        back = tuple(-o for o in offsets)
-        np.multiply(shifted_read(res.buf[target], w, back), sign, out=g_f[source])
-    g_f *= b.conjugate()
-    g_f += a.conjugate() * res.buf
-    g_f *= 2.0
+    for rows, index in _slabs(w.dims):
+        g_s = g_f[index]
+        for source, target, sign, offsets in star_moves(problem.metric):
+            back = tuple(-o for o in offsets)
+            read = shifted_read(res.buf[target], w, back, rows=rows, out=g_s[source])
+            np.multiply(read, sign, out=read)
+        g_s *= b.conjugate()
+        g_s += a.conjugate() * res.buf[index]
+        g_s *= 2.0
 
     # A^dag once per component (entries are the first two axes); a shifted
     # dagger is the dagger of the shift
     dag = {i: np.conj(conn.buf[i - 1].swapaxes(0, 1)) for i in (1, 2, 3, 4)}
     grad = np.zeros_like(conn.buf)
+    h = np.empty_like(g_f[0])
 
-    for n, (i, j) in enumerate(PLANES):
-        g = g_f[n]
-        gi = grad[i - 1]
-        gj = grad[j - 1]
-        # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
-        # difference term and the product term's shifted factor pull back
-        # through the same down-shift into the same component: one read each.
-        gj += shifted_read(g + mul(dag[i], g), w, _DOWN[i]) - g
-        gi -= shifted_read(g + mul(dag[j], g), w, _DOWN[j]) - g
-        gi += mul(g, shifted_read(dag[j], w, _UP[i]))
-        gj -= mul(g, shifted_read(dag[i], w, _UP[j]))
+    def down(g, k, rows, t):
+        # read of g + A^k^dag g at -e_k into t; h takes the sum on the rows it draws from
+        if rows is None:
+            np.add(g, mul(dag[k], g, out=h), h)
+        else:
+            for lo, hi in {(s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
+                h_r, g_r = h[:, :, lo:hi], g[:, :, lo:hi]
+                np.add(g_r, mul(dag[k][:, :, lo:hi], g_r, out=h_r), h_r)
+        return shifted_read(h, w, _DOWN[k], rows=rows, out=t)
+
+    for rows, index in _slabs(w.dims):
+        g_slab, grad_slab = g_f[index], grad[index]
+        t, u = np.empty_like(g_slab[0]), np.empty_like(g_slab[0])
+        for n, (i, j) in enumerate(PLANES):
+            g_s, gi, gj = g_slab[n], grad_slab[i - 1], grad_slab[j - 1]
+            # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
+            # difference term and the product term's shifted factor pull back
+            # through the same down-shift into the same component: one read each.
+            gj += np.subtract(down(g_f[n], i, rows, t), g_s, t)
+            gi -= np.subtract(down(g_f[n], j, rows, t), g_s, t)
+            gi += mul(g_s, shifted_read(dag[j], w, _UP[i], rows=rows, out=u), out=t)
+            gj -= mul(g_s, shifted_read(dag[i], w, _UP[j], rows=rows, out=u), out=t)
     return grad
 
 
@@ -308,7 +324,8 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     products = CurvatureField.zeros(w)
     for n, (i, j) in enumerate(PLANES):
         di, dj = step.buf[i - 1], step.buf[j - 1]
-        products.buf[n] = mul(di, shifted_read(dj, w, _UP[i])) - mul(dj, shifted_read(di, w, _UP[j]))
+        mul(di, shifted_read(dj, w, _UP[i]), out=products.buf[n])
+        products.buf[n] -= mul(dj, shifted_read(di, w, _UP[j]))
     r2 = residual(products, problem).buf
     r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
     r1 -= r2
@@ -359,15 +376,18 @@ def _hessian_symbol(dims: tuple, problem: DualityProblem, algebra_kind: str) -> 
     `residual(curvature(.))` to a unit impulse in component c at the origin:
     an impulse in one component meets no product term, and the kernels act
     on each matrix entry alike, so entry (0, 0) of the response is enough.
+    It lives on offsets -1..1 per axis, so it is taken on a window of
+    min(n, 3) sites per axis, whose site k is offset k, or -1 at k = 2.
     M = C^H C acts on complex coefficients (sl2c); for real su2 coefficients
     the Hessian is Re M, whose symbol is (M(p) + conj M(-p)) / 2.
     """
-    window = Window(dims, "periodic")
-    response = np.empty((6, 4) + dims, dtype=complex)
+    window = Window(tuple(min(n, 3) for n in dims), "periodic")
+    response = np.zeros((6, 4) + dims, dtype=complex)
+    at = (slice(None),) + np.ix_(*([0, 1, n - 1][: min(n, 3)] for n in dims))
     for axis in range(4):
         impulse = ConnectionField.zeros(window, "general")
         impulse.buf[axis, 0, 0, 0, 0, 0, 0] = 1.0
-        response[:, axis] = residual(curvature(impulse), problem).buf[:, 0, 0]
+        response[:, axis][at] = residual(curvature(impulse), problem).buf[:, 0, 0]
     c = _dft(dims[:2]) @ (response.reshape(24, -1, dims[2] * dims[3]) @ _dft(dims[2:]))
     c = c.reshape(response.shape)
     m = np.einsum("ta...,tb...->...ab", c.conj(), c)

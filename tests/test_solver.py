@@ -249,6 +249,34 @@ def test_hessian_symbol_matches_the_closed_form(kind, problem, dims):
     assert np.abs(symbol - closed).max() <= 1e-14 * np.abs(closed).max()
 
 
+def full_window_symbol(dims, problem, kind):
+    """The Hessian symbol from impulse responses taken on the whole window."""
+    window = Window(dims, "periodic")
+    response = np.empty((6, 4) + dims, dtype=complex)
+    for axis in range(4):
+        impulse = ConnectionField.zeros(window, "general")
+        impulse.buf[axis, 0, 0, 0, 0, 0, 0] = 1.0
+        response[:, axis] = residual(curvature(impulse), problem).buf[:, 0, 0]
+    dft = solver._dft
+    c = dft(dims[:2]) @ (response.reshape(24, -1, dims[2] * dims[3]) @ dft(dims[2:]))
+    c = c.reshape(response.shape)
+    m = np.einsum("ta...,tb...->...ab", c.conj(), c)
+    if kind == "su2":
+        m = 0.5 * (m + m[np.ix_(*((-np.arange(n)) % n for n in dims))].conj())
+    return m
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: f"{p.metric}-{p.orientation}")
+def test_hessian_symbol_from_a_small_window_is_bitwise_the_full_window_one(kind, problem):
+    # the responses live on offsets -1..1 per axis, so _hessian_symbol takes
+    # them on min(n, 3) sites per axis; axes of 1 to 5 sites
+    for dims in ((1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (5, 5, 5, 5),
+                 (4, 3, 2, 5), (5, 1, 4, 2), (1, 5, 3, 4), (2, 4, 5, 1), (3, 5, 1, 4)):
+        symbol = solver._hessian_symbol(dims, problem, kind)
+        assert symbol.tobytes() == full_window_symbol(dims, problem, kind).tobytes(), dims
+
+
 @pytest.mark.parametrize("kind", ["su2", "sl2c"])
 @pytest.mark.parametrize("metric", ["euclid", "mink"])
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 1, 2)])
@@ -351,7 +379,12 @@ def test_config_validation():
                    {"trace_every": 1.5}, {"trace_every": True}):
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, **kwargs)
-    cfg = SolveConfig(EUCLID_SD, max_iter=np.int64(3), trace_every=np.int32(2))
+    # tol is a real number: True ran as tol 1.0 and "1e-8" raised TypeError
+    for value in (True, "1e-8"):
+        with pytest.raises(ValueError):
+            SolveConfig(EUCLID_SD, tol=value)
+    assert SolveConfig(EUCLID_SD, tol=np.float32(1e-8)).tol == np.float32(1e-8)
+    cfg = SolveConfig(EUCLID_SD, max_iter=np.int64(3), trace_every=np.int32(2), tol=np.float64(1e-8))
     a0 = random_connection(Window((2, 2, 2, 2), "periodic"), "su2", seed=0, scale=1e-2)
     assert solve(a0, cfg)[1].iterations <= 3
 
