@@ -33,8 +33,13 @@ ALL_PROBLEMS = tuple(
 @dataclass
 class CheckResult:
     name: str
-    ok: bool
+    ok: bool = True
     details: list[str] = field(default_factory=list)
+
+    def record(self, ok: bool, case: str) -> None:
+        """Fold one verdict into `ok` and add the line "<case> ok|FAIL"."""
+        self.ok &= ok
+        self.details.append(f"{case} {'ok' if ok else 'FAIL'}")
 
 
 def _impulse(window: Window, plane, site, matrix) -> CurvatureField:
@@ -48,7 +53,7 @@ def check_star_table(seed: int = 0) -> CheckResult:
     window = Window((4, 4, 4, 4), "periodic")
     rng = np.random.default_rng(seed)
     site = (1, 2, 3, 0)
-    result = CheckResult("star-table", True)
+    result = CheckResult("star-table")
     for metric in ("euclid", "mink"):
         for plane in PLANES:
             matrix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -56,13 +61,9 @@ def check_star_table(seed: int = 0) -> CheckResult:
             wrapped = tuple(c % n for c, n in zip(shifted_site, window.dims))
             expected = _impulse(window, target, wrapped, sign * matrix)
             got = star(_impulse(window, plane, site, matrix), metric)
-            ok = np.array_equal(got.data, expected.data)
-            result.ok &= ok
-            result.details.append(
-                f"{metric} *eps_{plane[0]}{plane[1]} -> "
-                f"{'+' if sign > 0 else '-'}eps_{target[0]}{target[1]} "
-                f"at tau-shifted site: {'ok' if ok else 'FAIL'}"
-            )
+            case = (f"{metric} *eps_{plane[0]}{plane[1]} -> "
+                    f"{'+' if sign > 0 else '-'}eps_{target[0]}{target[1]} at tau-shifted site:")
+            result.record(np.array_equal(got.data, expected.data), case)
     return result
 
 
@@ -78,37 +79,33 @@ def _synthetic_family(seed: int, dims, count: int):
         )
 
 
-def check_prop1(seed: int = 0, dims=(4, 4, 4, 4), count: int = 20) -> CheckResult:
-    """double_star(F) == F exactly for Euclidean dual solutions."""
-    result = CheckResult("prop1", True)
+def _check_double_star(name, metric, kind, sign, seed, dims, count) -> CheckResult:
+    """double_star(F) == sign F exactly for synthetic dual fields of `metric`
+    in algebra `kind`, each first checked to satisfy the diagonal-shift relation."""
+    result = CheckResult(name)
     window = Window(tuple(dims), "periodic")
     for n in range(count):
         orientation = "self_dual" if n % 2 == 0 else "anti_self_dual"
-        slice12 = diag_invariant_slice(window, seed + n, scale=1.0, kind="su2")
-        f = synthetic_dual_curvature(slice12, "euclid", window, orientation)
-        ok = np.array_equal(double_star(f, "euclid").data, f.data)
-        result.ok &= ok
-        result.details.append(f"euclid {orientation} seed {seed + n}: {'ok' if ok else 'FAIL'}")
+        slice12 = diag_invariant_slice(window, seed + n, scale=1.0, kind=kind)
+        f = synthetic_dual_curvature(slice12, metric, window, orientation)
+        case = f"{metric} {orientation} seed {seed + n}:"
+        if not check_diagonal_relation(f, tol=0.0).holds:
+            result.ok = False
+            result.details.append(f"{case} FAIL (premise)")
+            continue
+        result.record(np.array_equal(double_star(f, metric).data, sign * f.data), case)
     return result
+
+
+def check_prop1(seed: int = 0, dims=(4, 4, 4, 4), count: int = 20) -> CheckResult:
+    """double_star(F) == F exactly for Euclidean dual solutions."""
+    return _check_double_star("prop1", "euclid", "su2", 1, seed, dims, count)
 
 
 def check_prop2(seed: int = 0, dims=(4, 4, 4, 4), count: int = 20) -> CheckResult:
     """double_star(F) == -F exactly for Minkowski fields satisfying the
     diagonal-shift relation."""
-    result = CheckResult("prop2", True)
-    window = Window(tuple(dims), "periodic")
-    for n in range(count):
-        orientation = "self_dual" if n % 2 == 0 else "anti_self_dual"
-        slice12 = diag_invariant_slice(window, seed + n, scale=1.0, kind="sl2c")
-        f = synthetic_dual_curvature(slice12, "mink", window, orientation)
-        if not check_diagonal_relation(f, tol=0.0).holds:
-            result.ok = False
-            result.details.append(f"mink {orientation} seed {seed + n}: FAIL (premise)")
-            continue
-        ok = np.array_equal(double_star(f, "mink").data, -f.data)
-        result.ok &= ok
-        result.details.append(f"mink {orientation} seed {seed + n}: {'ok' if ok else 'FAIL'}")
-    return result
+    return _check_double_star("prop2", "mink", "sl2c", -1, seed, dims, count)
 
 
 def check_relation_13(seed: int = 0, dims=(4, 4, 4, 4), count: int = 20) -> CheckResult:
@@ -117,23 +114,17 @@ def check_relation_13(seed: int = 0, dims=(4, 4, 4, 4), count: int = 20) -> Chec
     The impulse control needs a second site: on a one-site window every
     field is diagonal-invariant, so the control is reported as n/a.
     """
-    result = CheckResult("13", True)
+    result = CheckResult("13")
     for problem, f in _synthetic_family(seed, dims, count):
         report = check_diagonal_relation(f)
-        ok = report.holds and report.max_violation == 0.0
-        result.ok &= ok
-        result.details.append(
-            f"{problem.metric} {problem.orientation}: violation "
-            f"{report.max_violation:.3e} {'ok' if ok else 'FAIL'}"
-        )
+        case = f"{problem.metric} {problem.orientation}: violation {report.max_violation:.3e}"
+        result.record(report.holds and report.max_violation == 0.0, case)
     window = Window(tuple(dims), "periodic")
     if window.n_sites == 1:
         result.details.append("single impulse fails: n/a (one-site window)")
         return result
     impulse = _impulse(window, (1, 2), (0,) * 4, np.eye(2))
-    ok = not check_diagonal_relation(impulse).holds
-    result.ok &= ok
-    result.details.append(f"single impulse fails: {'ok' if ok else 'FAIL'}")
+    result.record(not check_diagonal_relation(impulse).holds, "single impulse fails:")
     return result
 
 
@@ -156,24 +147,18 @@ def compact_nonzero_field(window: Window, seed: int, bound: int) -> CurvatureFie
 def check_theorem(seed: int = 0, dims=(6, 6, 6, 6), count: int = 20) -> CheckResult:
     """Compactly supported nonzero fields are never `consistent`; zero is."""
     window = Window(tuple(dims), "zero")
-    result = CheckResult("theorem", True)
+    result = CheckResult("theorem")
     for n in range(count):
         problem = ALL_PROBLEMS[n % len(ALL_PROBLEMS)]
         bound = 2 + (n % 3)
         f = compact_nonzero_field(window, seed + n, bound)
         verdict = verify_triviality_theorem(f, (bound,) * 4, problem)
-        ok = verdict != CONSISTENT
-        result.ok &= ok
-        result.details.append(
-            f"nonzero bound {bound} {problem.metric} {problem.orientation}: "
-            f"{verdict} {'ok' if ok else 'FAIL'}"
-        )
+        result.record(verdict != CONSISTENT,
+                      f"nonzero bound {bound} {problem.metric} {problem.orientation}: {verdict}")
     zero_verdict = verify_triviality_theorem(
         CurvatureField.zeros(window), (2, 2, 2, 2), ALL_PROBLEMS[0]
     )
-    ok = zero_verdict == CONSISTENT
-    result.ok &= ok
-    result.details.append(f"zero field: {zero_verdict} {'ok' if ok else 'FAIL'}")
+    result.record(zero_verdict == CONSISTENT, f"zero field: {zero_verdict}")
     return result
 
 
@@ -182,7 +167,7 @@ def check_path_equivalence(
     tol: float = 1e-13,
 ) -> CheckResult:
     """The six long difference equations match the two-stage residual path."""
-    result = CheckResult("path-equivalence", True)
+    result = CheckResult("path-equivalence")
     n = 0
     for dims in dims_list:
         window = Window(tuple(dims), "periodic")
@@ -195,12 +180,8 @@ def check_path_equivalence(
                     direct = residual_componentwise(conn, problem)
                     staged = residual(curvature(conn), problem)
                     worst = max(worst, max_entry(direct - staged))
-                ok = worst <= tol
-                result.ok &= ok
-                result.details.append(
-                    f"dims {dims} {kind} seed {seed + n - 1}: max diff "
-                    f"{worst:.3e} {'ok' if ok else 'FAIL'}"
-                )
+                result.record(worst <= tol,
+                              f"dims {dims} {kind} seed {seed + n - 1}: max diff {worst:.3e}")
     return result
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success or check pass, 1 on check failure, 2 on usage
 errors (bad flags, malformed or non-finite files, metadata conflicts,
-unwritable outputs).  Numeric output uses 17 significant digits so printed
-values round-trip float64.
+unwritable outputs, windows too large to allocate).  Numeric output uses
+17 significant digits so printed values round-trip float64.
 """
 from __future__ import annotations
 
@@ -167,7 +167,6 @@ def cmd_solve(args) -> int:
         problem=DualityProblem(args.metric, ORIENTATION_FLAG[args.dual]),
         max_iter=args.max_iter,
         tol=args.tol,
-        trace_every=args.trace_every,
     )
     solved, report = solve(conn, cfg)
     solved.metric = args.metric
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", required=True, choices=["sd", "asd"])
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--trace", help="write the residual trace to this CSV file")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
@@ -253,7 +251,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, FieldIOError, ValueError, OSError) as exc:
+    except (UsageError, FieldIOError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,10 +57,11 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     over the sites.  rows=(lo, hi) reads first indices [lo, hi) only, into
     `out` (not overlapping `data`) or a new array in the order of `data`.
     Raises ValueError if the last four axes of `data` are not the window
-    dims or if `offsets` does not have four entries.
+    dims, if `offsets` does not have four entries or unless 0 <= lo < hi <= N1.
     """
     if data.shape[-4:] != window.dims:
         raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
+    blocks = _blocks(window.dims, tuple(offsets), rows)
     periodic = window.boundary == "periodic"
     if out is None:
         like = np.empty_like if periodic or fill is not None else np.zeros_like
@@ -70,7 +71,7 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
         out[...] = 0
     if not periodic and fill is not None:
         out[...] = np.asarray(fill)[..., None, None, None, None]
-    for dst, src, inside in _blocks(window.dims, tuple(offsets), rows):
+    for dst, src, inside in blocks:
         if periodic or inside:
             out[dst] = data[src]
     return out
@@ -86,10 +87,12 @@ def _blocks(dims: tuple, offsets: tuple, rows=None) -> tuple:
     rows=(lo, hi) cuts destinations to [lo, hi) on the first axis, counted
     from lo.  A block is inside if no read wraps (source = destination +
     offset): one at most, none if |offset| >= n.  Raises ValueError unless
-    there is one offset per axis.
+    there is one offset per axis and 0 <= lo < hi <= dims[0].
     """
     if len(offsets) != len(dims):
         raise ValueError(f"offsets must have {len(dims)} entries, got {offsets!r}")
+    if rows is not None and not 0 <= rows[0] < rows[1] <= dims[0]:
+        raise ValueError(f"rows must satisfy 0 <= lo < hi <= {dims[0]}, got {rows!r}")
     blocks = [((...,), (...,), True)]
     for n, off, (lo, hi) in zip(dims, offsets, [rows or (0, dims[0])] + [(0, n) for n in dims[1:]]):
         s = off % n

@@ -76,10 +76,11 @@ def pure_gauge(gauge: GaugeField) -> ConnectionField:
     On zero windows, reads outside the box use the identity group element,
     so the connection vanishes beyond the support of g - I.
 
-    Measured behaviour: the curvature of a pure-gauge connection vanishes
-    when g is constant (both difference terms and both product terms cancel)
-    but is generally nonzero for site-dependent g in this difference
-    calculus, so flatness is not asserted as an invariant here.
+    The curvature vanishes when g is constant (both difference terms and
+    both product terms cancel), but this formula, the discrete -dg g^-1, is
+    not flat in general: for random_gauge(seed 1) on (3,4,2,5) and 4^4,
+    max |F| is about 7.  The link form g_k^-1 g_{k+e_j} - I is flat to
+    rounding on the same gauges (max |F| <= 1.8e-15).
     """
     w = gauge.window
     g = gauge.buf

@@ -12,6 +12,16 @@ residual characterizes a dual solution:
 `residual_componentwise` evaluates the six long difference equations for a
 connection directly, one per plane, without building the curvature field
 first; on periodic windows it agrees with the two-stage path slotwise.
+
+The residual is not gauge covariant.  Under U^j_k -> h_k U^j_k h^-1_{k+e_j}
+(U = I + A) the curvature moves to h_k F^{ij}_k h^-1_{k+e_i+e_j}, but *F at
+k reads F at k - e_i - e_j, which transforms with h there instead.  On the
+periodic (3,4,2,5) window, random_connection(seed 0, scale 0.5) under
+random_gauge(seed 1) moves |residual| (euclid, self_dual) from 26.81 to
+26.60 for su2 and from 38.8 to 60.2 for sl2c.  A constant gauge leaves
+|residual|^2 unchanged for su2 (to 2e-16 relative) but not for sl2c (x2.5):
+SL(2,C) is not unitary.  For su2 on the Minkowski problems |residual|^2 =
+2 |F|^2 (see `solver`), which a unitary gauge keeps: 26.835 before and after.
 """
 from __future__ import annotations
 

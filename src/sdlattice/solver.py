@@ -10,7 +10,11 @@ objective R itself.  Only periodic windows are supported (shifts must be
 bijections for the adjoints to be exact).  R = 0 holds for every flat
 connection too, and from small random starts su2 (either metric) and sl2c
 euclid reach tol by flattening A, with R / ||F||^2 left near 2; only sl2c
-mink ends with R well below ||F||^2.
+mink ends with R well below ||F||^2.  For su2 on either Minkowski problem
+R = 2 ||F||^2 exactly: su(2) plus the real multiples of I is closed under
+products, so F lies in it and <F, *F> is real; with conj(a) b = +-i the
+cross term 2 Re(conj(a) b <F, *F>) of R vanishes, and ||*F|| = ||F|| (the
+star moves and signs slots).
 
 `solve` is L-BFGS with an exact line search, preconditioned in Fourier
 space.  At A = 0 the residual r = C A is linear and commutes with
@@ -72,13 +76,13 @@ class SolveConfig:
     problem: DualityProblem
     max_iter: int = 1000
     tol: float = 1e-8
-    trace_every: int = 1
 
     def __post_init__(self):
-        for name in ("max_iter", "trace_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.problem, DualityProblem):
+            raise ValueError(f"problem must be a DualityProblem, got {self.problem!r}")
+        value = self.max_iter
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {value!r}")
         real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
         if not (real and math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite positive real number, got {self.tol!r}")
@@ -293,10 +297,8 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
             # the interpolated residual carries the rounding of every step
             obj, res = _objective_and_residual(conn, problem)
             report.evaluations += 1
-        converged = obj <= cfg.tol
-        if it % cfg.trace_every == 0 or converged:
-            trace.append((it, obj, t))
-        if converged:
+        trace.append((it, obj, t))
+        if obj <= cfg.tol:
             report.converged, report.stop_reason = True, "converged"
             break
         g_new = _coefficient_gradient(_gradient_matrices(conn, problem, res), kind).ravel()

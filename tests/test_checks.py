@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from sdlattice import checks
 from sdlattice.checks import (
     CHECKS,
     CheckResult,
@@ -12,6 +13,7 @@ from sdlattice.checks import (
     check_theorem,
     compact_nonzero_field,
 )
+from sdlattice.duality import RelationReport
 from sdlattice.lattice import Window
 
 
@@ -79,3 +81,74 @@ def test_compact_nonzero_field_support_and_content():
             np.meshgrid(*(np.arange(n) for n in w.dims), indexing="ij")
         )
         assert not np.any(mags[site_max >= bound])
+
+
+def test_check_details_are_pinned():
+    # the printed lines of `sdlat check`, written out; path-equivalence is
+    # left out because its .3e diffs depend on rounding
+    assert check_star_table(seed=0).details == [
+        "euclid *eps_12 -> +eps_34 at tau-shifted site: ok",
+        "euclid *eps_13 -> -eps_24 at tau-shifted site: ok",
+        "euclid *eps_14 -> +eps_23 at tau-shifted site: ok",
+        "euclid *eps_23 -> +eps_14 at tau-shifted site: ok",
+        "euclid *eps_24 -> -eps_13 at tau-shifted site: ok",
+        "euclid *eps_34 -> +eps_12 at tau-shifted site: ok",
+        "mink *eps_12 -> -eps_34 at tau-shifted site: ok",
+        "mink *eps_13 -> +eps_24 at tau-shifted site: ok",
+        "mink *eps_14 -> -eps_23 at tau-shifted site: ok",
+        "mink *eps_23 -> +eps_14 at tau-shifted site: ok",
+        "mink *eps_24 -> -eps_13 at tau-shifted site: ok",
+        "mink *eps_34 -> +eps_12 at tau-shifted site: ok",
+    ]
+    expected = {
+        "prop1": [
+            "euclid self_dual seed 0: ok",
+            "euclid anti_self_dual seed 1: ok",
+            "euclid self_dual seed 2: ok",
+        ],
+        "prop2": [
+            "mink self_dual seed 0: ok",
+            "mink anti_self_dual seed 1: ok",
+            "mink self_dual seed 2: ok",
+        ],
+        "13": [
+            "euclid self_dual: violation 0.000e+00 ok",
+            "euclid anti_self_dual: violation 0.000e+00 ok",
+            "mink self_dual: violation 0.000e+00 ok",
+            "single impulse fails: ok",
+        ],
+        "theorem": [
+            "nonzero bound 2 euclid self_dual: violates_duality ok",
+            "nonzero bound 3 euclid anti_self_dual: violates_duality ok",
+            "nonzero bound 4 mink self_dual: violates_duality ok",
+            "zero field: consistent ok",
+        ],
+    }
+    for name, details in expected.items():
+        result = CHECKS[name](seed=0, count=3)
+        assert result.ok and result.details == details, name
+
+
+def test_check_result_record_folds_verdicts():
+    result = CheckResult("x")
+    for ok, case in ((True, "a:"), (False, "b:"), (True, "c:")):
+        result.record(ok, case)
+    assert not result.ok
+    assert result.details == ["a: ok", "b: FAIL", "c: ok"]
+
+
+def test_double_star_checks_report_a_failed_premise(monkeypatch):
+    # both double-star checks first check the diagonal-shift relation exactly
+    seen = []
+
+    def no_relation(field, tol=1e-12):
+        seen.append(tol)
+        return RelationReport(holds=False, max_violation=1.0)
+
+    monkeypatch.setattr(checks, "check_diagonal_relation", no_relation)
+    for name, metric in (("prop1", "euclid"), ("prop2", "mink")):
+        result = CHECKS[name](seed=5, count=2)
+        assert not result.ok
+        assert result.details == [f"{metric} self_dual seed 5: FAIL (premise)",
+                                  f"{metric} anti_self_dual seed 6: FAIL (premise)"]
+    assert seen == [0.0] * 4

@@ -112,6 +112,17 @@ def test_gen_scale_must_be_finite_with_finite_width(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_gen_window_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 10^12 sites ask for 233 TiB, which numpy refuses at once; this used to
+    # end in a MemoryError traceback and exit 1
+    out = tmp_path / "x.field"
+    code, _, err = run(capsys, "gen", "--kind", "zero", "--dims", "1000,1000,1000,1000",
+                       "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gen_matrix_must_lie_in_the_algebra(tmp_path, capsys):
     out = tmp_path / "c.field"
     identity = "1,0,0,0,0,0,1,0"
@@ -274,10 +285,11 @@ def test_solve_rejects_non_finite_tol_and_step0(tmp_path, capsys):
         assert code == 2, value
         assert "tol" in err
         assert not (tmp_path / "s.field").exists()
-    # the line search is exact: there is no step length or backtrack factor
-    for flag in ("--step0", "--backtrack"):
+    # the line search is exact: there is no step length or backtrack factor;
+    # and the trace holds every iteration, so there is no thinning
+    for flag, value in (("--step0", "0.5"), ("--backtrack", "0.5"), ("--trace-every", "5")):
         code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
-                           flag, "0.5", str(a), "-o", str(tmp_path / "s.field"))
+                           flag, value, str(a), "-o", str(tmp_path / "s.field"))
         assert code == 2, flag
         assert flag in err
         assert not (tmp_path / "s.field").exists()

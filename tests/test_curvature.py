@@ -171,8 +171,8 @@ def test_pure_gauge_rejects_singular_elements():
 
 
 def test_pure_gauge_curvature_not_flat_in_general():
-    # documented measurement: for non-constant g the curvature of a
-    # pure-gauge connection does not vanish in this difference calculus
+    # documented measurement: for non-constant g the formula -(Delta_j g) g^-1
+    # is not flat (the link form g_k^-1 g_{k+e_j} - I is, to rounding)
     w = Window((3, 3, 3, 3), "periodic")
     f = curvature(pure_gauge(random_gauge(w, "su2", seed=11)))
     assert np.max(np.abs(f.data)) > 1.0

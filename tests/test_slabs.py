@@ -84,3 +84,18 @@ def test_shifted_read_rows_are_rows_of_the_full_read(boundary, fill):
             out = np.full_like(part, np.nan)
             assert shifted_read(data, w, offsets, fill=fill, rows=(lo, hi), out=out) is out
             assert np.array_equal(out, part)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "zero"])
+def test_shifted_read_refuses_rows_outside_the_window(boundary):
+    # (0, 10) on five rows used to return ten rows, the last five never
+    # written; (-2, 3) returned five misplaced rows
+    w = Window((5, 3, 1, 2), boundary)
+    data = random_connection(w, "su2", seed=1).buf
+    out = np.full(data.shape[:-4] + (3,) + data.shape[-3:], 7.0 + 0j)
+    for rows in ((0, 10), (-2, 3), (3, 3), (4, 2), (5, 6)):
+        with pytest.raises(ValueError, match="rows"):
+            shifted_read(data, w, (1, 0, 0, 0), rows=rows)
+        with pytest.raises(ValueError, match="rows"):
+            shifted_read(data, w, (1, 0, 0, 0), rows=rows, out=out)
+        assert np.all(out == 7.0)  # refused before anything is written

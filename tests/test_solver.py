@@ -358,7 +358,7 @@ def test_preconditioned_solve_takes_no_more_iterations():
 def test_solve_converges_from_a_far_start(kind, problem, scale, max_iter):
     # far from A = 0 the preconditioner is no longer the inverse Hessian
     a0 = random_connection(Window((3, 3, 3, 3), "periodic"), kind, seed=0, scale=scale)
-    out, report = solve(a0, SolveConfig(problem, max_iter=max_iter, tol=1e-8, trace_every=50))
+    out, report = solve(a0, SolveConfig(problem, max_iter=max_iter, tol=1e-8))
     assert report.stop_reason == "converged"
     assert report.final_residual == objective(out, problem) <= 1e-8
 
@@ -368,15 +368,12 @@ def test_config_validation():
         SolveConfig(EUCLID_SD, max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(EUCLID_SD, tol=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(EUCLID_SD, trace_every=0)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, tol=value)
     # counts are integers: a float max_iter used to fail inside solve, and
     # True ran one iteration
-    for kwargs in ({"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 3.0},
-                   {"trace_every": 1.5}, {"trace_every": True}):
+    for kwargs in ({"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 3.0}):
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, **kwargs)
     # tol is a real number: True ran as tol 1.0 and "1e-8" raised TypeError
@@ -384,9 +381,27 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolveConfig(EUCLID_SD, tol=value)
     assert SolveConfig(EUCLID_SD, tol=np.float32(1e-8)).tol == np.float32(1e-8)
-    cfg = SolveConfig(EUCLID_SD, max_iter=np.int64(3), trace_every=np.int32(2), tol=np.float64(1e-8))
+    # the problem is a DualityProblem: a metric name used to fail inside solve
+    for problem in ("euclid", ("euclid", "self_dual"), None):
+        with pytest.raises(ValueError, match="DualityProblem"):
+            SolveConfig(problem)
+    cfg = SolveConfig(EUCLID_SD, max_iter=np.int64(3), tol=np.float64(1e-8))
     a0 = random_connection(Window((2, 2, 2, 2), "periodic"), "su2", seed=0, scale=1e-2)
     assert solve(a0, cfg)[1].iterations <= 3
+
+
+@pytest.mark.parametrize("orientation", ["self_dual", "anti_self_dual"])
+def test_su2_minkowski_objective_is_twice_the_curvature_norm(orientation):
+    # su(2) + R I is closed under products, so <F, *F> is real and the cross
+    # term of |a F + b *F|^2 with conj(a) b = +-i vanishes: R = 2 |F|^2
+    # (measured max |R / |F|^2 - 2| = 6.7e-16)
+    problem = DualityProblem("mink", orientation)
+    for dims in ((3, 3, 3, 3), (4, 3, 2, 5), (2, 2, 2, 1), (1, 2, 3, 2)):
+        for seed in range(5):
+            for scale in (0.01, 1.0, 10.0):
+                a = random_connection(Window(dims, "periodic"), "su2", seed=seed, scale=scale)
+                f2 = float(np.sum(np.abs(curvature(a).buf) ** 2))
+                assert abs(objective(a, problem) - 2 * f2) <= 1e-14 * 2 * f2, (dims, seed, scale)
 
 
 @pytest.mark.parametrize("kind", ["su2", "sl2c"])
@@ -489,15 +504,18 @@ def test_solve_reports_evaluation_counts(monkeypatch):
 
 
 def test_solve_trace_is_non_increasing():
+    # one row per iteration, the start included; the first run stops at
+    # max_iter, the second converges and its last row is that iteration
     w = Window((3, 3, 3, 3), "periodic")
-    a0 = random_connection(w, "su2", seed=1, scale=5e-2)
-    cfg = SolveConfig(EUCLID_SD, max_iter=400, tol=1e-10)
-    _, report = solve(a0, cfg)
-    values = [r for _, r, _ in report.residual_trace]
-    assert all(b < a for a, b in zip(values, values[1:]))
-    iters = [i for i, _, _ in report.residual_trace]
-    assert iters == sorted(iters)
-    assert report.final_residual == values[-1]
+    for seed, scale, max_iter, tol, reason in ((1, 5e-2, 400, 1e-10, "max_iter"),
+                                                (3, 1e-2, 10000, 1e-8, "converged")):
+        a0 = random_connection(w, "su2", seed=seed, scale=scale)
+        _, report = solve(a0, SolveConfig(EUCLID_SD, max_iter=max_iter, tol=tol))
+        assert report.stop_reason == reason
+        values = [r for _, r, _ in report.residual_trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert [i for i, _, _ in report.residual_trace] == list(range(report.iterations + 1))
+        assert report.final_residual == values[-1]
 
 
 def test_final_residual_is_the_objective_of_the_returned_field():
@@ -553,18 +571,6 @@ def test_solve_is_deterministic():
     assert np.array_equal(out1.data, out2.data)
     assert rep1.residual_trace == rep2.residual_trace
     assert rep1.final_residual == rep2.final_residual
-
-
-def test_solve_trace_every_thins_trace():
-    w = Window((3, 3, 3, 3), "periodic")
-    a0 = random_connection(w, "su2", seed=3, scale=1e-2)
-    cfg = SolveConfig(EUCLID_SD, max_iter=10000, tol=1e-8, trace_every=25)
-    _, report = solve(a0, cfg)
-    interior = [i for i, _, _ in report.residual_trace[1:-1]]
-    assert all(i % 25 == 0 for i in interior)
-    # final entry is always recorded on convergence
-    assert report.converged
-    assert report.residual_trace[-1][0] == report.iterations
 
 
 def test_solve_rejects_zero_boundary():
