@@ -14,12 +14,17 @@ whole-field operation is one contiguous sweep; their one site read,
 `shifted_read`, takes any array whose last four axes are the sites, such
 as `buf` or one of its slots, and copies blocks of one cached table: all
 of them on periodic windows, only the one inside the box on zero windows.
-The kernels sweep slabs of first-axis rows (`_slabs`) so that intermediates stay in cache.
+The kernels sweep slabs of first-axis rows (`_slabs`) so that intermediates
+stay in cache, several of them on a pool of one thread per usable CPU
+(`_for_slabs`); results are bitwise the same for any slab size and thread count.
 """
 from __future__ import annotations
 
 import functools
 import numbers
+import operator
+import os
+import threading
 
 import numpy as np
 
@@ -57,10 +62,19 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     over the sites.  rows=(lo, hi) reads first indices [lo, hi) only, into
     `out` (not overlapping `data`) or a new array in the order of `data`.
     Raises ValueError if the last four axes of `data` are not the window
-    dims, if `offsets` does not have four entries or unless 0 <= lo < hi <= N1.
+    dims, if `offsets` does not have four entries, if `rows` is not a pair
+    of integers (bools refused) or unless 0 <= lo < hi <= N1.
     """
     if data.shape[-4:] != window.dims:
         raise ValueError(f"data shape {data.shape} does not end in the window dims {window.dims}")
+    if rows is not None:  # a tuple of ints, so that the block cache can take it
+        try:
+            lo, hi = rows
+            if isinstance(lo, bool) or isinstance(hi, bool):
+                raise TypeError
+            rows = (operator.index(lo), operator.index(hi))
+        except (TypeError, ValueError):
+            raise ValueError(f"rows must be a pair of integers (lo, hi), got {rows!r}") from None
     blocks = _blocks(window.dims, tuple(offsets), rows)
     periodic = window.boundary == "periodic"
     if out is None:
@@ -118,6 +132,41 @@ def _slabs(dims: tuple) -> tuple:
         return ((None, ...),)
     return tuple(((lo, min(lo + step, dims[0])), (..., slice(lo, lo + step)) + (slice(None),) * 3)
                  for lo in range(0, dims[0], step))
+
+
+_worker = threading.local()  # .busy is set in the threads of the slab pool
+_pool_lock = threading.Lock()
+
+
+@functools.cache
+def _pool():
+    """The slab pool, one thread per CPU this process may use, or None on one
+    CPU; made at the first multi-slab call (concurrent.futures takes 7-9 ms to import)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor(cpus, initializer=setattr, initargs=(_worker, "busy", True))
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _for_slabs(dims: tuple, body) -> None:
+    """body(rows, index) for every slab of `_slabs(dims)`: inline for one slab,
+    on one CPU or in a pool thread, else on the pool, where every slab ends
+    before the first slab's exception, if any, is raised."""
+    slabs = _slabs(dims)
+    with _pool_lock:
+        pool = _pool() if len(slabs) > 1 and not getattr(_worker, "busy", False) else None
+    if pool is None:
+        for rows, index in slabs:
+            body(rows, index)
+        return
+    futures = [pool.submit(body, rows, index) for rows, index in slabs]
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
 
 
 class Field:

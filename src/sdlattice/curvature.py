@@ -20,7 +20,7 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     GaugeField,
-    _slabs,
+    _for_slabs,
     shifted_read,
 )
 from .lattice import Window
@@ -59,14 +59,16 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0), ro
 
 def curvature(conn: ConnectionField) -> CurvatureField:
     """Curvature 2-cochain of a connection, same window and boundary mode,
-    written slab by slab (`cochain._slabs`) straight into its plane slots."""
+    written slab by slab (`cochain._for_slabs`) straight into its plane slots."""
     # product terms leave su(2)/sl(2,C), so curvature values are general
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
-    for rows, index in _slabs(conn.window.dims):
+
+    def body(rows, index):
         slab = out.buf[index]
         for n, (i, j) in enumerate(PLANES):
             plane_curvature(conn, i, j, rows=rows, out=slab[n])
+    _for_slabs(conn.window.dims, body)
     return out
 
 

@@ -34,7 +34,7 @@ from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
-    _slabs,
+    _for_slabs,
     diagonal_shift,
     max_entry,
     shifted_read,
@@ -83,11 +83,13 @@ def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
     """Residual 2-cochain a F + b *F of the duality operator; zero iff F is a solution."""
     a, b = problem.coefficients
     out = star(field, problem.metric)
-    # b *F is scaled in place, so a F is the one temporary, slab-sized
-    for _, index in _slabs(field.window.dims):
+
+    def body(_, index):
+        # b *F is scaled in place, so a F is the one temporary, slab-sized
         res = out.buf[index]
         res *= b
         res += a * field.buf[index]
+    _for_slabs(field.window.dims, body)
     return out
 
 
@@ -105,10 +107,12 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     resolved before zero-padding.
     """
     a, b = problem.coefficients
-    out = CurvatureField.zeros(conn.window, algebra=conn.algebra)
+    # product terms leave su(2)/sl(2,C), so residual values are general
+    out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = problem.metric
-    # per slab and star move: a own plane + b sign (source plane at the offsets)
-    for rows, index in _slabs(conn.window.dims):
+
+    def body(rows, index):
+        # per star move: a own plane + b sign (source plane at the offsets)
         slab = out.buf[index]
         for source, target, sign, offsets in star_moves(problem.metric):
             own = plane_curvature(conn, *PLANES[target], rows=rows, out=slab[target])
@@ -116,6 +120,7 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
             other = plane_curvature(conn, *PLANES[source], base=offsets, rows=rows)
             np.multiply(sign, other, out=other)
             own += np.multiply(b, other, out=other)
+    _for_slabs(conn.window.dims, body)
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochain import PLANE_INDEX, PLANES, CurvatureField, _slabs, shifted_read
+from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_slabs, shifted_read
 from .lattice import METRICS, Index
 
 # Star sign of each source plane, in PLANES order.
@@ -65,10 +65,12 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
     """
     w = field.window
     buf = np.empty_like(field.buf)
-    for rows, index in _slabs(w.dims):
+
+    def body(rows, index):
         for source, target, sign, offsets in star_moves(metric):
             dst = shifted_read(field.buf[source], w, offsets, rows=rows, out=buf[index][target])
             np.multiply(dst, sign, out=dst)
+    _for_slabs(w.dims, body)
     return CurvatureField._from_buf(w, buf, field.algebra, metric)
 
 

@@ -40,14 +40,15 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, CurvatureField, _blocks, _slabs, shifted_read
+from .cochain import PLANES, ConnectionField, CurvatureField, _blocks, _for_slabs, shifted_read
 from .curvature import curvature
 from .duality import DualityProblem, residual
 from .hodge import star_moves
@@ -171,7 +172,13 @@ def _coefficient_gradient(g_slots: np.ndarray, algebra_kind: str) -> np.ndarray:
     """Project sites-last matrix gradients onto the real coordinates of the
     algebra: dR/dc = Re(conj(G) l) along coefficient c of basis element l,
     and Re(i conj(G) l) along i c, so the gradient is `_real` of G conj(l)."""
-    return _real(np.einsum("sij...,aij->...sa", g_slots, BASIS.conj()), algebra_kind)
+    out = np.empty(g_slots.shape[-4:] + (4, 3 if algebra_kind == "su2" else 6))
+
+    def body(rows, index):
+        z = np.einsum("sij...,aij->...sa", g_slots[index], BASIS.conj())
+        out[slice(*rows) if rows else ...] = _real(z, algebra_kind)
+    _for_slabs(g_slots.shape[-4:], body)
+    return out
 
 
 def _require_periodic(window: Window) -> None:
@@ -193,7 +200,8 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     # backwards: slot source gets sign times slot target read at -offsets.
     a, b = problem.coefficients
     g_f = np.empty_like(res.buf)
-    for rows, index in _slabs(w.dims):
+
+    def adjoint(rows, index):
         g_s = g_f[index]
         for source, target, sign, offsets in star_moves(problem.metric):
             back = tuple(-o for o in offsets)
@@ -202,35 +210,43 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
         g_s *= b.conjugate()
         g_s += a.conjugate() * res.buf[index]
         g_s *= 2.0
-
-    # A^dag once per component (entries are the first two axes); a shifted
-    # dagger is the dagger of the shift
-    dag = {i: np.conj(conn.buf[i - 1].swapaxes(0, 1)) for i in (1, 2, 3, 4)}
+    _for_slabs(w.dims, adjoint)
     grad = np.zeros_like(conn.buf)
-    h = np.empty_like(g_f[0])
+    hs = defaultdict(lambda: np.empty_like(g_f[0]))  # h per thread: slabs share rows of it
 
-    def down(g, k, rows, t):
-        # read of g + A^k^dag g at -e_k into t; h takes the sum on the rows it draws from
-        if rows is None:
-            np.add(g, mul(dag[k], g, out=h), h)
-        else:
-            for lo, hi in {(s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
-                h_r, g_r = h[:, :, lo:hi], g[:, :, lo:hi]
-                np.add(g_r, mul(dag[k][:, :, lo:hi], g_r, out=h_r), h_r)
-        return shifted_read(h, w, _DOWN[k], rows=rows, out=t)
-
-    for rows, index in _slabs(w.dims):
+    def pull_back(rows, index):
+        h = hs[threading.get_ident()]
         g_slab, grad_slab = g_f[index], grad[index]
         t, u = np.empty_like(g_slab[0]), np.empty_like(g_slab[0])
+
+        # A^dag is conj(A) with its entry axes swapped: each A read is conjugated
+        # into u, which mul takes swapped (a shifted dagger is the dagger of the shift)
+        def down(g, k):
+            # read of g + A^k^dag g at -e_k into t; h takes the sum on the rows it draws from
+            if rows is None:
+                np.add(g, mul(np.conjugate(conn.buf[k - 1], out=u).swapaxes(0, 1), g, out=h), h)
+            else:
+                for lo, hi in {(s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
+                    dag = np.conjugate(conn.buf[k - 1][:, :, lo:hi], out=u[:, :, :hi - lo])
+                    h_r, g_r = h[:, :, lo:hi], g[:, :, lo:hi]
+                    np.add(g_r, mul(dag.swapaxes(0, 1), g_r, out=h_r), h_r)
+            return shifted_read(h, w, _DOWN[k], rows=rows, out=t)
+
+        def up(k, i):
+            # A^k^dag read at +e_i, in u
+            read = shifted_read(conn.buf[k - 1], w, _UP[i], rows=rows, out=u)
+            return np.conjugate(read, out=read).swapaxes(0, 1)
+
         for n, (i, j) in enumerate(PLANES):
             g_s, gi, gj = g_slab[n], grad_slab[i - 1], grad_slab[j - 1]
             # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
             # difference term and the product term's shifted factor pull back
             # through the same down-shift into the same component: one read each.
-            gj += np.subtract(down(g_f[n], i, rows, t), g_s, t)
-            gi -= np.subtract(down(g_f[n], j, rows, t), g_s, t)
-            gi += mul(g_s, shifted_read(dag[j], w, _UP[i], rows=rows, out=u), out=t)
-            gj -= mul(g_s, shifted_read(dag[i], w, _UP[j], rows=rows, out=u), out=t)
+            gj += np.subtract(down(g_f[n], i), g_s, t)
+            gi -= np.subtract(down(g_f[n], j), g_s, t)
+            gi += mul(g_s, up(j, i), out=t)
+            gj -= mul(g_s, up(i, j), out=t)
+    _for_slabs(w.dims, pull_back)
     return grad
 
 

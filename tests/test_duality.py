@@ -249,5 +249,16 @@ def test_componentwise_metadata():
     a = random_connection(w, "sl2c", seed=5)
     out = residual_componentwise(a, DualityProblem("mink", "anti_self_dual"))
     assert out.metric == "mink"
-    assert out.algebra == "sl2c"
+    # its values hold products of sl2c matrices, so they are general
+    assert out.algebra == "general"
     assert out.window == w
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS)
+def test_both_residual_paths_carry_the_same_labels(kind, problem):
+    a = random_connection(Window((3, 2, 2, 3), "periodic"), kind, seed=6)
+    direct = residual_componentwise(a, problem)
+    staged = residual(curvature(a), problem)
+    assert (direct.algebra, direct.metric) == (staged.algebra, staged.metric) == (
+        "general", problem.metric)

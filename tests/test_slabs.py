@@ -1,8 +1,15 @@
 """The whole-field kernels give the same bits whether a window is swept as
-one slab of the first site axis or as several (`cochain._slabs`)."""
+one slab of the first site axis or as several (`cochain._slabs`), and
+whether the slabs run inline or on a thread pool (`cochain._for_slabs`)."""
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +21,8 @@ from sdlattice.duality import DualityProblem, residual, residual_componentwise
 from sdlattice.hodge import star
 from sdlattice.lattice import Window
 from sdlattice.solver import gradient_coefficients, objective
+
+JOIN_TIMEOUT_S = 120
 
 ALL_PROBLEMS = tuple(
     DualityProblem(m, o) for m in ("euclid", "mink") for o in ("self_dual", "anti_self_dual")
@@ -30,6 +39,30 @@ def slab_sites(monkeypatch):
 
     yield set_sites
     cochain._slabs.cache_clear()
+
+
+@pytest.fixture
+def slab_pool(monkeypatch):
+    """Set the pool the kernels' slabs run on: "cpus" keeps the module's own
+    pool (none on one CPU), None runs every slab inline and a number makes a
+    pool of that many workers, shut down after the test."""
+    own, made = cochain._pool, []
+
+    def set_pool(workers):
+        if workers == "cpus":
+            monkeypatch.setattr(cochain, "_pool", own)
+            return own()
+        pool = None
+        if workers is not None:
+            pool = ThreadPoolExecutor(workers, initializer=setattr,
+                                      initargs=(cochain._worker, "busy", True))
+            made.append(pool)
+        monkeypatch.setattr(cochain, "_pool", lambda: pool)
+        return pool
+
+    yield set_pool
+    for pool in made:  # a stalled worker must not stall the teardown
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def kernel_outputs(w, kind):
@@ -99,3 +132,137 @@ def test_shifted_read_refuses_rows_outside_the_window(boundary):
         with pytest.raises(ValueError, match="rows"):
             shifted_read(data, w, (1, 0, 0, 0), rows=rows, out=out)
         assert np.all(out == 7.0)  # refused before anything is written
+
+
+def test_shifted_read_takes_rows_as_a_list_or_a_tuple_of_integers():
+    w = Window((3, 2, 2, 2), "periodic")
+    data = random_connection(w, "su2", seed=2).buf
+    full = shifted_read(data, w, (1, 0, 0, 1))
+    for rows in ([0, 2], (0, 2), (np.int64(0), np.int64(2))):
+        assert np.array_equal(shifted_read(data, w, (1, 0, 0, 1), rows=rows), full[..., 0:2, :, :, :])
+    for rows in ((True, 2), (0, 2.0), (0.0, 2), "02", (0, 1, 2), 2):
+        with pytest.raises(ValueError, match="rows"):
+            shifted_read(data, w, (1, 0, 0, 1), rows=rows)
+
+
+def test_the_pool_has_one_worker_per_usable_cpu(monkeypatch):
+    # making an executor starts no thread; threads start at the first submit
+    monkeypatch.setattr(cochain.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cochain._pool.__wrapped__() is None
+    monkeypatch.setattr(cochain.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    pool = cochain._pool.__wrapped__()
+    assert pool._max_workers == 3
+    pool.shutdown()
+
+
+# A (5, 6, 6, 8) window of 2-row slabs: rows [0, 2), [2, 4), [4, 5).  A slab
+# holds 576 sites, enough for numpy to release the interpreter lock.
+SLABBED = (5, 6, 6, 8)
+
+
+def run_kernels(conn, p):
+    f = curvature(conn)
+    return {"curvature": f.buf, "star": star(f, p.metric).buf, "residual": residual(f, p).buf,
+            "residual_componentwise": residual_componentwise(conn, p).buf,
+            "gradient_coefficients": gradient_coefficients(conn, p)}
+
+
+def kernel_bits(case):
+    return {k: v.tobytes() for k, v in run_kernels(*case).items()}
+
+
+@pytest.fixture
+def slabbed(slab_sites, slab_pool):
+    """Connections and problems on SLABBED, swept in 2-row slabs, and each
+    kernel's bytes from inline slabs."""
+    slab_sites(2 * 6 * 6 * 8)
+    assert [r for r, _ in cochain._slabs(SLABBED)] == [(0, 2), (2, 4), (4, 5)]
+    w = Window(SLABBED, "periodic")
+    cases = [(random_connection(w, kind, seed=9, scale=0.8), DualityProblem(metric, "self_dual"))
+             for kind, metric in (("su2", "euclid"), ("sl2c", "mink"))]
+    slab_pool(None)
+    serial = [kernel_bits(case) for case in cases]
+    return cases, serial
+
+
+@pytest.mark.parametrize("workers", ["cpus", 4])
+def test_pooled_kernels_repeat_the_inline_bits(slabbed, slab_pool, workers):
+    cases, serial = slabbed
+    slab_pool(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for case, expected in zip(cases, serial):
+            for _ in range(3):
+                assert kernel_bits(case) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class SlabFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", ["cpus", 4])
+def test_a_failing_slab_raises_from_the_kernel(slabbed, slab_pool, monkeypatch, workers):
+    # every kernel reads through shifted_read; the read fails on the middle slab only
+    cases, serial = slabbed
+    slab_pool(workers)
+
+    def failing(*args, rows=None, **kwargs):
+        if rows == (2, 4):
+            raise SlabFailure(rows)
+        return shifted_read(*args, rows=rows, **kwargs)
+
+    conn, p = cases[1]
+    f = curvature(conn)
+    kernels = [lambda: curvature(conn), lambda: star(f, p.metric), lambda: residual(f, p),
+               lambda: residual_componentwise(conn, p), lambda: gradient_coefficients(conn, p)]
+    modules = [sys.modules[f"sdlattice.{name}"] for name in ("curvature", "hodge", "solver")]
+    for module in modules:
+        monkeypatch.setattr(module, "shifted_read", failing)
+    for kernel in kernels:
+        with pytest.raises(SlabFailure):
+            kernel()
+    for module in modules:
+        monkeypatch.setattr(module, "shifted_read", shifted_read)
+    assert kernel_bits(cases[1]) == serial[1]
+
+
+def test_kernels_from_two_threads_and_from_a_worker_give_the_inline_bits(slabbed, slab_pool):
+    cases, serial = slabbed
+    pool = slab_pool(4)
+    results = {}
+
+    def call(key, case):
+        results[key] = kernel_bits(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(n, case)) for n, case in enumerate(cases)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(JOIN_TIMEOUT_S)
+            assert not caller.is_alive()
+        # a worker's own kernel calls run their slabs inline, so a full pool cannot stall them
+        inside = [pool.submit(call, ("worker", n), case) for n, case in enumerate(cases) for _ in range(4)]
+        for future in inside:
+            future.result(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results[n] for n in range(2)] == serial
+    assert [results["worker", n] for n in range(2)] == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_its_slabs_on_a_pool_of_its_own(slabbed, slab_pool):
+    # the child inherits the parent's pool object but none of its threads
+    cases, serial = slabbed
+    slab_pool("cpus")
+    assert kernel_bits(cases[0]) == serial[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        with multiprocessing.get_context("fork").Pool(1) as children:
+            assert children.apply_async(kernel_bits, (cases[0],)).get(JOIN_TIMEOUT_S) == serial[0]
