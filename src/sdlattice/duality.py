@@ -35,12 +35,14 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     _for_slabs,
+    _plane_groups,
+    _scratch,
     diagonal_shift,
     max_entry,
     shifted_read,
 )
-from .curvature import plane_curvature
-from .hodge import star, star_moves
+from .curvature import _ORIGIN, _planes_curvature
+from .hodge import _READS, star, star_moves
 from .lattice import METRICS, Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
@@ -110,15 +112,20 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     # product terms leave su(2)/sl(2,C), so residual values are general
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = problem.metric
+    # per star move, target-ordered: a own plane + b sign (source plane at the offsets)
+    slots, offsets, signs = _READS[problem.metric, False]
+    sources = tuple(PLANES[s] for s in slots)
+    groups = _plane_groups(conn.window.dims)
 
     def body(rows, index):
-        # per star move: a own plane + b sign (source plane at the offsets)
-        slab = out.buf[index]
-        for source, target, sign, offsets in star_moves(problem.metric):
-            own = plane_curvature(conn, *PLANES[target], rows=rows, out=slab[target])
+        height = groups[0].stop
+        t, reads, other = _scratch(conn.window.dims, rows, height, 4 * height, height)
+        for group in groups:
+            own = _planes_curvature(conn, PLANES[group], _ORIGIN[group], rows,
+                                    out.buf[index][group], t, reads)
             np.multiply(a, own, out=own)
-            other = plane_curvature(conn, *PLANES[source], base=offsets, rows=rows)
-            np.multiply(sign, other, out=other)
+            _planes_curvature(conn, sources[group], offsets[group], rows, other, t, reads)
+            np.multiply(signs[group], other, out=other)
             own += np.multiply(b, other, out=other)
     _for_slabs(conn.window.dims, body)
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_slabs, shifted_read
+from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_slabs, _plane_groups, shifted_read
 from .lattice import METRICS, Index
 
 # Star sign of each source plane, in PLANES order.
@@ -37,6 +37,19 @@ _MOVES = {
     )
     for metric, signs in _SIGNS.items()
 }
+
+
+def _stacked(moves, transpose):
+    """The star (or with transpose=True its transpose) as one stacked read:
+    slot n of the result is signs[n] times slot slots[n] read at offsets[n]."""
+    order = moves if transpose else sorted(moves, key=lambda move: move[1])
+    return (tuple(move[1 if transpose else 0] for move in order),
+            tuple(tuple(-o if transpose else o for o in move[3]) for move in order),
+            np.array([move[2] for move in order], complex).reshape(6, 1, 1, 1, 1, 1, 1))
+
+
+_READS = {(metric, transpose): _stacked(moves, transpose)
+          for metric, moves in _MOVES.items() for transpose in (False, True)}
 
 
 def star_moves(metric: str) -> tuple:
@@ -63,15 +76,23 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
     On periodic windows every identity below is exact; zero windows read
     missing neighbors as zero.
     """
+    star_moves(metric)  # refuses an unknown metric
     w = field.window
     buf = np.empty_like(field.buf)
 
     def body(rows, index):
-        for source, target, sign, offsets in star_moves(metric):
-            dst = shifted_read(field.buf[source], w, offsets, rows=rows, out=buf[index][target])
-            np.multiply(dst, sign, out=dst)
+        for group in _plane_groups(w.dims):
+            _moved(field.buf, w, metric, False, group, rows, buf[index][group])
     _for_slabs(w.dims, body)
     return CurvatureField._from_buf(w, buf, field.algebra, metric)
+
+
+def _moved(data, window, metric, transpose, group, rows, out):
+    """Slots `group` of the star (or with transpose=True its transpose) of
+    the six-slot sites-last `data`, cut to `rows`, written to `out`."""
+    slots, offsets, signs = _READS[metric, transpose]
+    read = shifted_read(data, window, offsets[group], rows=rows, out=out, slots=slots[group])
+    return np.multiply(read, signs[group], out=read)
 
 
 def double_star(field: CurvatureField, metric: str) -> CurvatureField:

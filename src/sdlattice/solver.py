@@ -47,11 +47,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
-from .cochain import PLANES, ConnectionField, CurvatureField, _blocks, _for_slabs, shifted_read
-from .curvature import curvature
+from .algebra import BASIS, MEMBERSHIP, sl2c_coefficients
+from .cochain import (
+    PLANES,
+    ConnectionField,
+    CurvatureField,
+    _blocks,
+    _for_slabs,
+    _plane_groups,
+    _scratch,
+    shifted_read,
+)
+from .curvature import _ORIGIN, _mul, _plane_stacks, curvature
 from .duality import DualityProblem, residual
-from .hodge import star_moves
+from .hodge import _moved
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
@@ -60,8 +69,7 @@ LBFGS_MEMORY = 10
 # mu of the preconditioner (M + mu I)^-1, relative to the largest eigenvalue of M.
 PRECONDITIONER_SHIFT = 1e-2
 
-# Unit read offsets +e_i and -e_i per axis i.
-_UP = {i: tuple(int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
+# Unit read offsets -e_i per axis i.
 _DOWN = {i: tuple(-int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
 
 
@@ -200,52 +208,66 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     # backwards: slot source gets sign times slot target read at -offsets.
     a, b = problem.coefficients
     g_f = np.empty_like(res.buf)
+    groups = _plane_groups(w.dims)
 
     def adjoint(rows, index):
         g_s = g_f[index]
-        for source, target, sign, offsets in star_moves(problem.metric):
-            back = tuple(-o for o in offsets)
-            read = shifted_read(res.buf[target], w, back, rows=rows, out=g_s[source])
-            np.multiply(read, sign, out=read)
+        for group in groups:
+            _moved(res.buf, w, problem.metric, True, group, rows, g_s[group])
         g_s *= b.conjugate()
         g_s += a.conjugate() * res.buf[index]
         g_s *= 2.0
     _for_slabs(w.dims, adjoint)
     grad = np.zeros_like(conn.buf)
-    hs = defaultdict(lambda: np.empty_like(g_f[0]))  # h per thread: slabs share rows of it
+    hs = defaultdict(lambda: np.empty_like(g_f[groups[0]]))  # h per thread: slabs share rows of it
 
     def pull_back(rows, index):
         h = hs[threading.get_ident()]
         g_slab, grad_slab = g_f[index], grad[index]
-        t, u = np.empty_like(g_slab[0]), np.empty_like(g_slab[0])
+        height = groups[0].stop
+        reads, t0, t1, t2, *dag = _scratch(w.dims, rows, 4 * height, height, height, height,
+                                           *([4] if rows is None else []))
+        # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
+        # dagger of the shift).  One slab reads one conjugate of the connection;
+        # a slab of rows conjugates what it reads.
+        src = np.conjugate(conn.buf, out=dag[0]) if dag else conn.buf
+        for group in groups:
+            planes, g, g_s = PLANES[group], g_f[group], g_slab[group]
+            ai, aj, ai_up_j, aj_up_i = _plane_stacks(src, w, planes, _ORIGIN[group], rows, reads)
+            if rows is not None:
+                np.conjugate(ai_up_j, out=ai_up_j)
+                np.conjugate(aj_up_i, out=aj_up_i)
 
-        # A^dag is conj(A) with its entry axes swapped: each A read is conjugated
-        # into u, which mul takes swapped (a shifted dagger is the dagger of the shift)
-        def down(g, k):
-            # read of g + A^k^dag g at -e_k into t; h takes the sum on the rows it draws from
-            if rows is None:
-                np.add(g, mul(np.conjugate(conn.buf[k - 1], out=u).swapaxes(0, 1), g, out=h), h)
-            else:
-                for lo, hi in {(s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
-                    dag = np.conjugate(conn.buf[k - 1][:, :, lo:hi], out=u[:, :, :hi - lo])
-                    h_r, g_r = h[:, :, lo:hi], g[:, :, lo:hi]
-                    np.add(g_r, mul(dag.swapaxes(0, 1), g_r, out=h_r), h_r)
-            return shifted_read(h, w, _DOWN[k], rows=rows, out=t)
+            def down(a_dag, axes, out):
+                # g + A^k^dag g read at -e_k, k per plane, minus g_s, into out; h takes
+                # the sum on the rows the read draws from (a slab of rows holds one
+                # plane, whose A^k rows are conjugated into out first)
+                k = axes[0]
+                for lo, hi in [(None, None)] if rows is None else {
+                        (s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
+                    a_r = a_dag if rows is None else np.conjugate(
+                        conn.buf[k - 1:k, :, :, lo:hi], out=out[:, :, :, :hi - lo])
+                    g_r, h_r = g[:, :, :, lo:hi], h[:, :, :, lo:hi]
+                    np.add(g_r, _mul(a_r.swapaxes(1, 2), g_r, h_r), h_r)
+                read = shifted_read(h, w, tuple(_DOWN[k] for k in axes), rows=rows, out=out,
+                                    slots=range(len(axes)))
+                return np.subtract(read, g_s, read)
 
-        def up(k, i):
-            # A^k^dag read at +e_i, in u
-            read = shifted_read(conn.buf[k - 1], w, _UP[i], rows=rows, out=u)
-            return np.conjugate(read, out=read).swapaxes(0, 1)
-
-        for n, (i, j) in enumerate(PLANES):
-            g_s, gi, gj = g_slab[n], grad_slab[i - 1], grad_slab[j - 1]
             # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
             # difference term and the product term's shifted factor pull back
             # through the same down-shift into the same component: one read each.
-            gj += np.subtract(down(g_f[n], i), g_s, t)
-            gi -= np.subtract(down(g_f[n], j), g_s, t)
-            gi += mul(g_s, up(j, i), out=t)
-            gj -= mul(g_s, up(i, j), out=t)
+            terms = (down(ai, tuple(i for i, _ in planes), t0),
+                     down(aj, tuple(j for _, j in planes), t1),
+                     _mul(g_s, aj_up_i.swapaxes(1, 2), t2))
+            # A^j(+e_i) is spent: the last term takes its place
+            terms += (_mul(g_s, ai_up_j.swapaxes(1, 2), aj_up_i),)
+            # each component sums its terms in plane order
+            for n, (i, j) in enumerate(planes):
+                gi, gj = grad_slab[i - 1], grad_slab[j - 1]
+                gj += terms[0][n]
+                gi -= terms[1][n]
+                gi += terms[2][n]
+                gj -= terms[3][n]
     _for_slabs(w.dims, pull_back)
     return grad
 
@@ -340,10 +362,13 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     plane, and r1 = r(1) - res.buf - r2 takes one full evaluation, at A + d."""
     w = conn.window
     products = CurvatureField.zeros(w)
-    for n, (i, j) in enumerate(PLANES):
-        di, dj = step.buf[i - 1], step.buf[j - 1]
-        mul(di, shifted_read(dj, w, _UP[i]), out=products.buf[n])
-        products.buf[n] -= mul(dj, shifted_read(di, w, _UP[j]))
+    groups = _plane_groups(w.dims)
+    t, reads = _scratch(w.dims, None, groups[0].stop, 4 * groups[0].stop)
+    for group in groups:
+        di, dj, di_up_j, dj_up_i = _plane_stacks(step.buf, w, PLANES[group], _ORIGIN[group], None,
+                                                 reads)
+        out = _mul(di, dj_up_i, products.buf[group])
+        out -= _mul(dj, di_up_j, t)
     r2 = residual(products, problem).buf
     r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
     r1 -= r2

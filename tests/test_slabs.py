@@ -1,9 +1,12 @@
 """The whole-field kernels give the same bits whether a window is swept as
-one slab of the first site axis or as several (`cochain._slabs`), and
-whether the slabs run inline or on a thread pool (`cochain._for_slabs`)."""
+one slab of the first site axis or as several (`cochain._slabs`), whatever
+number of planes they take at once (`cochain._plane_groups`), and whether
+the slabs run inline or on a thread pool (`cochain._for_slabs`)."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import multiprocessing
 import os
 import sys
@@ -20,7 +23,7 @@ from sdlattice.curvature import curvature, random_connection
 from sdlattice.duality import DualityProblem, residual, residual_componentwise
 from sdlattice.hodge import star
 from sdlattice.lattice import Window
-from sdlattice.solver import gradient_coefficients, objective
+from sdlattice.solver import SolveConfig, gradient_coefficients, objective, solve
 
 JOIN_TIMEOUT_S = 120
 
@@ -31,14 +34,19 @@ ALL_PROBLEMS = tuple(
 
 @pytest.fixture
 def slab_sites(monkeypatch):
-    """Set cochain.SLAB_SITES; the slab list is cached per window, so the
-    cache is cleared on every change and once more before the patch is undone."""
+    """Set cochain.SLAB_SITES; the slab list and the plane groups are cached
+    per window, so the caches are cleared on every change and once more
+    before the patch is undone."""
+    def clear():
+        cochain._slabs.cache_clear()
+        cochain._plane_groups.cache_clear()
+
     def set_sites(sites):
         monkeypatch.setattr(cochain, "SLAB_SITES", sites)
-        cochain._slabs.cache_clear()
+        clear()
 
     yield set_sites
-    cochain._slabs.cache_clear()
+    clear()
 
 
 @pytest.fixture
@@ -86,17 +94,46 @@ def kernel_outputs(w, kind):
 def test_multi_slab_kernels_are_bitwise_equal_to_one_slab(slab_sites, dims, kind, boundary):
     w = Window(dims, boundary)
     assert cochain._slabs(dims) == ((None, ...),)
+    assert cochain._plane_groups(dims) == (slice(0, 6),)
     whole = kernel_outputs(w, kind)
-    # every row its own slab, then two rows per slab (uneven on N1 = 5 and 3)
-    rest = dims[1] * dims[2] * dims[3]
-    for sites, step in ((1, 1), (2 * rest, 2)):
-        slab_sites(sites)
-        rows = [(lo, min(lo + step, dims[0])) for lo in range(0, dims[0], step)]
+    # one slab taking three, two and one planes at once; then every row its own
+    # slab and two rows per slab (uneven on N1 = 5 and 3), one plane at once
+    sites = math.prod(dims)
+    rest = sites // dims[0]
+    for slab, step, height in ((3 * sites, None, 3), (2 * sites, None, 2), (sites, None, 1),
+                               (1, 1, 1), (2 * rest, 2, 1)):
+        slab_sites(slab)
+        rows = [None] if step is None else [(lo, min(lo + step, dims[0])) for lo in range(0, dims[0], step)]
         assert [r for r, _ in cochain._slabs(dims)] == rows
+        assert cochain._plane_groups(dims) == tuple(slice(lo, lo + height) for lo in range(0, 6, height))
         sliced = kernel_outputs(w, kind)
         assert sliced.keys() == whole.keys()
         for name, value in whole.items():
-            assert sliced[name].tobytes() == value.tobytes(), (sites, name)
+            assert sliced[name].tobytes() == value.tobytes(), (slab, name)
+
+
+@pytest.mark.parametrize("dims, kind, metric, orientation", [
+    ((3, 3, 3, 3), "su2", "euclid", "self_dual"), ((2, 2, 2, 2), "sl2c", "mink", "anti_self_dual")])
+def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, dims, kind, metric, orientation):
+    # six planes at once (the default on these windows) against one, the
+    # preconditioner's kernel-built symbol included
+    conn0 = random_connection(Window(dims, "periodic"), kind, seed=0, scale=1e-2)
+    cfg = SolveConfig(DualityProblem(metric, orientation), max_iter=200)
+    solver = sys.modules["sdlattice.solver"]
+    results = []
+    for slab, height in ((cochain.SLAB_SITES, 6), (math.prod(dims), 1)):
+        slab_sites(slab)
+        assert cochain._slabs(dims) == ((None, ...),)
+        assert cochain._plane_groups(dims)[0] == slice(0, height)
+        solver._preconditioner.cache_clear()
+        results.append(solve(conn0, cfg))
+    (six, six_report), (one, one_report) = results
+    assert six_report.converged
+    assert one.buf.tobytes() == six.buf.tobytes()
+    reports = [dataclasses.asdict(r) for r in (six_report, one_report)]
+    for report in reports:
+        del report["wall_s"]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("boundary, fill", [
@@ -117,6 +154,47 @@ def test_shifted_read_rows_are_rows_of_the_full_read(boundary, fill):
             out = np.full_like(part, np.nan)
             assert shifted_read(data, w, offsets, fill=fill, rows=(lo, hi), out=out) is out
             assert np.array_equal(out, part)
+
+
+@pytest.mark.parametrize("boundary, fill", [
+    ("periodic", None), ("zero", None), ("zero", np.array([[1.0, 2.0j], [-3.0, 0.5]]))])
+def test_a_stacked_read_is_the_stack_of_its_slot_reads(boundary, fill):
+    # runs of one slot, of consecutive slots and of any slots, each run at one
+    # offset, whole and cut to rows, on axes of four, three, one and two sites
+    dims = (4, 3, 1, 2)
+    w = Window(dims, boundary)
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(6, 2, 2) + dims) + 1j * rng.normal(size=(6, 2, 2) + dims)
+    for _ in range(60):
+        slots, offsets = [], []
+        while len(slots) < 7:
+            step, first, off = rng.integers(0, 3), rng.integers(0, 6), tuple(rng.integers(-3, 4, size=4))
+            for k in range(rng.integers(1, 4)):
+                slot = first + k * step if step < 2 else rng.integers(0, 6)
+                if slot < 6:
+                    slots.append(int(slot))
+                    offsets.append(off)
+        for rows in (None, (0, 4), (1, 3), (3, 4)):
+            expected = np.stack([shifted_read(data[s], w, o, fill=fill, rows=rows)
+                                 for s, o in zip(slots, offsets)]).tobytes()
+            assert shifted_read(data, w, offsets, fill=fill, rows=rows, slots=slots).tobytes() == expected
+            out = np.full((len(slots),) + data.shape[1:-4] + (4 if rows is None else rows[1] - rows[0],)
+                          + dims[1:], np.nan + 0j)
+            assert shifted_read(data, w, tuple(offsets), fill=fill, rows=rows, out=out,
+                                slots=tuple(slots)) is out
+            assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "zero"])
+def test_a_stacked_read_needs_one_offset_per_slot_and_slots_of_the_data(boundary):
+    w = Window((3, 2, 1, 2), boundary)
+    data = random_connection(w, "su2", seed=3).buf
+    for slots, offsets in (((0, 1), ((1, 0, 0, 0),)), ((2,), ((0, 0, 0, 0), (1, 0, 0, 0))),
+                           ((), ((0, 0, 0, 0),)), ((4,), ((0, 0, 0, 0),)), ((-1,), ((0, 0, 0, 0),))):
+        with pytest.raises(ValueError, match="slot"):
+            shifted_read(data, w, offsets, slots=slots)
+    with pytest.raises(ValueError, match="4 entries"):
+        shifted_read(data, w, ((1, 0, 0),), slots=(0,))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "zero"])

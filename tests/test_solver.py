@@ -152,9 +152,11 @@ def test_gradient_field_shape():
 
 
 def test_gradient_read_budget(monkeypatch):
-    # one gradient takes 12 curvature reads, 6 star reads, 6 adjoint star
-    # reads and 24 in the adjoint loop (each down-read serves a difference
-    # term and a product term), and no np.roll anywhere along the way
+    # on 3^4 every kernel takes its six planes as one stack (one slab, one
+    # group of six), so one gradient reads six times: the curvature, the star,
+    # the adjoint star, the pull-back's operands and its two down-reads (each
+    # down-read serves a difference term and a product term); no np.roll
+    # anywhere along the way
     calls = 0
 
     def counted(*args, **kwargs):
@@ -174,13 +176,13 @@ def test_gradient_read_budget(monkeypatch):
     w = Window((3, 3, 3, 3), "periodic")
     a = random_connection(w, "su2", seed=8, scale=0.3)
     gradient_coefficients(a, EUCLID_SD)
-    assert calls <= 48
-    # every kernel's reads are counted: 12 curvature, 6 star, 6 residual
+    assert calls == 6
+    # every kernel's reads are counted: one each for curvature, star and residual
     calls = 0
     f = curvature(a)
     star(f, "euclid")
     residual(f, EUCLID_SD)
-    assert calls == 24
+    assert calls == 3
 
 
 def test_lbfgs_direction_matches_dense_bfgs_inverse_hessian():
