@@ -58,6 +58,20 @@ def mul(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _mul_stacks(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """`mul` slot by slot of stacks (slot, 2, 2) + sites, such as the planes
+    `Field.buf[a:b]`, through their entries-first views, into `out` or a new
+    stack; x.swapaxes(1, 2) is the stack of the transposed matrices of x."""
+    if out is None:
+        out = np.empty(x.shape, complex)
+    mul(x.transpose(_ENTRIES_FIRST), y.transpose(_ENTRIES_FIRST), out.transpose(_ENTRIES_FIRST))
+    return out
+
+
+# The entries-first view, (2, 2, slot) + sites, of a stack (slot, 2, 2) + sites.
+_ENTRIES_FIRST = (1, 2, 0, 3, 4, 5, 6)
+
+
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """err <= tol * max(1, largest entry magnitude), matrix by matrix."""
     return bool(np.all(err <= tol * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))))

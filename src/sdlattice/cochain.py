@@ -15,19 +15,15 @@ whole-field operation is one contiguous sweep; their one site read,
 as `buf` or one of its slots, and copies blocks of one cached table: all
 of them on periodic windows, only the one inside the box on zero windows;
 with slots= it reads a stack of slots, each at its own offsets, in one call.
-The kernels work tile by tile.  A tile is a slab of first-axis rows
-(`_slabs`, about SLAB_SITES sites) times a group of planes (`_plane_groups`):
-the most planes, 1, 2, 3 or 6, that keep the tile within SLAB_SITES
-site-planes, so 6 up to 5^4, 3 at 6^4 and 1 from 7^4 on.  Each term of a
-kernel is one numpy call over the planes of a tile, its temporaries stay in
-cache, and slabs run on a pool of one thread per usable CPU (`_for_slabs`);
-results are bitwise the same for any slab size, group and thread count.
+The kernels work tile by tile, a slab of first-axis rows (`_slabs`) times a
+group of planes (`_plane_groups`: 6 on 2^4-3^4, 3 on 4^4, 1 from 5^4 on),
+each term of a tile one numpy call; slabs run on a pool of one thread per
+usable CPU (`_for_slabs`), and results are bitwise the same for any slab
+size, group and thread count.
 """
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import numbers
 import operator
 import os
@@ -69,8 +65,9 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     inside the box, over `fill` (default zeros), a 2x2 matrix broadcast
     over the sites.  rows=(lo, hi) reads first indices [lo, hi) only, into
     `out` (not overlapping `data`) or a new array in the order of `data`.
-    slots=(s_0, s_1, ...) reads a stack in one call, one entry of `offsets`
-    per slot: out[n] is slot s_n of `data` (its first axis) read at offsets[n].
+    slots=(s_0, s_1, ...), a tuple or range, reads a stack in one call, with
+    `offsets` a tuple of one offset tuple per slot: out[n] is slot s_n of
+    `data` (its first axis) read at offsets[n].
     Raises ValueError if the last four axes of `data` are not the window
     dims, if an offset does not have four entries, if `rows` is not a pair
     of integers (bools refused) or unless 0 <= lo < hi <= N1, and if
@@ -90,13 +87,9 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     shape = data.shape if rows is None else data.shape[:-4] + (rows[1] - rows[0],) + data.shape[-3:]
     periodic = window.boundary == "periodic"
     if slots is None:
-        blocks = _blocks(window.dims, tuple(offsets), rows, periodic)
+        blocks = _blocks(window.dims, tuple(offsets), rows)
     else:
-        try:
-            blocks = _stacked_blocks(window.dims, slots, offsets, rows, len(data), periodic)
-        except TypeError:  # a list is not hashable
-            slots, offsets = tuple(slots), tuple(map(tuple, offsets))
-            blocks = _stacked_blocks(window.dims, slots, offsets, rows, len(data), periodic)
+        blocks = _stacked_blocks(window.dims, slots, offsets, rows, len(data))
         shape = (len(slots),) + shape[1:]
     if out is None:
         like = np.empty_like if periodic or fill is not None else np.zeros_like
@@ -112,7 +105,7 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
 
 
 @functools.lru_cache(maxsize=4096)
-def _blocks(dims: tuple, offsets: tuple, rows=None, periodic=False) -> tuple:
+def _blocks(dims: tuple, offsets: tuple, rows=None) -> tuple:
     """(destination, source, inside) rows whose copies make a periodic read;
     destination and source are an Ellipsis then one slice per site axis.
 
@@ -120,9 +113,8 @@ def _blocks(dims: tuple, offsets: tuple, rows=None, periodic=False) -> tuple:
     [s, n) and sites [n - s, n) read [0, s); an unshifted axis is one block.
     rows=(lo, hi) cuts destinations to [lo, hi) on the first axis, counted
     from lo.  A block is inside if no read wraps (source = destination +
-    offset): one at most, none if |offset| >= n.  For a periodic read the
-    two sites of a shifted axis of two swap in one reversed block.  Raises
-    ValueError unless there is one offset per axis and 0 <= lo < hi <= dims[0].
+    offset): one at most, none if |offset| >= n.  Raises ValueError unless
+    there is one offset per axis and 0 <= lo < hi <= dims[0].
     """
     if len(offsets) != len(dims):
         raise ValueError(f"offsets must have {len(dims)} entries, got {offsets!r}")
@@ -131,18 +123,16 @@ def _blocks(dims: tuple, offsets: tuple, rows=None, periodic=False) -> tuple:
     blocks = [((...,), (...,), True)]
     for n, off, (lo, hi) in zip(dims, offsets, [rows or (0, dims[0])] + [(0, n) for n in dims[1:]]):
         s = off % n
-        # destinations [d, e) read source, cut to [lo, hi); within if no read wraps
-        runs = [(0, 2, slice(1, None, -1), False)] if periodic and s and n == 2 == hi - lo else [
-            (max(d, lo), min(e, hi), slice(max(d, lo) + sh, min(e, hi) + sh), sh == off)
-            for d, e, sh in ((0, n - s, s), (n - s, n, s - n)) if max(d, lo) < min(e, hi)]
-        blocks = [(dst + (slice(d - lo, e - lo),), src + (source,), inside and within)
-                  for dst, src, inside in blocks for d, e, source, within in runs]
+        # destinations [d, e) read [d + sh, e + sh), cut to [lo, hi)
+        runs = [(max(d, lo), min(e, hi), sh) for d, e, sh in ((0, n - s, s), (n - s, n, s - n))
+                if max(d, lo) < min(e, hi)]
+        blocks = [(dst + (slice(d - lo, e - lo),), src + (slice(d + sh, e + sh),),
+                   inside and sh == off) for dst, src, inside in blocks for d, e, sh in runs]
     return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=1024)
-def _stacked_blocks(dims: tuple, slots: tuple, offsets: tuple, rows, n_slots: int,
-                    periodic: bool) -> tuple:
+def _stacked_blocks(dims: tuple, slots: tuple, offsets: tuple, rows, n_slots: int) -> tuple:
     """The blocks of a stacked read (`shifted_read` with slots=) from data of
     `n_slots` slots, each led by its output and source slots: slot n reads
     slot slots[n] at offsets[n].  A run of output slots that read one slot,
@@ -164,7 +154,7 @@ def _stacked_blocks(dims: tuple, slots: tuple, offsets: tuple, rows, n_slots: in
     return tuple(((slice(n, n + len(src)),) + dst,
                   (src[0] if src[1:2] == src[:1] else slice(src[0], src[-1] + 1),) + source, inside)
                  for n, src, off in runs
-                 for dst, source, inside in _blocks(dims, off, rows, periodic))
+                 for dst, source, inside in _blocks(dims, off, rows))
 
 
 # Sites per slab: a slot of 4 096 sites is 256 KiB, so a plane's intermediates stay
@@ -185,41 +175,15 @@ def _slabs(dims: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _plane_groups(dims: tuple) -> tuple:
-    """Slices of the six plane slots that a kernel takes at once per slab: the
-    most planes, a divisor of 6, whose slab holds at most SLAB_SITES site-planes
-    (one plane if a slab alone holds more), so only a window of one slab takes
-    several planes at once."""
-    rows = _slabs(dims)[0][0] or (0, dims[0])
-    sites = (rows[1] - rows[0]) * dims[1] * dims[2] * dims[3]
-    height = max(h for h in (1, 2, 3, 6) if h == 1 or h * sites <= SLAB_SITES)
+    """Slices of the six plane slots that a kernel takes at once: the most
+    planes, a divisor of 6, whose reads (four slots a plane) hold at most
+    SLAB_SITES site-slots, so a window of several slabs takes one plane."""
+    sites = dims[0] * dims[1] * dims[2] * dims[3]
+    height = max(h for h in (1, 2, 3, 6) if h == 1 or 4 * h * sites <= SLAB_SITES)
     return tuple(slice(lo, lo + height) for lo in range(0, 6, height))
 
 
-_worker = threading.local()  # per thread: .busy in the slab pool's threads, .scratch (`_scratch`)
-
-
-def _scratch(dims: tuple, rows, *heights) -> list:
-    """Complex stacks of shape (h, 2, 2) + the sites of rows=(lo, hi) (all
-    rows if None), one per h in `heights`.  On a window of one slab (rows
-    None) they are carved from one block that the calling thread keeps for
-    its next call, up to 64 SLAB_SITES entries: temporaries freed and
-    allocated again page in fresh memory once glibc trims them (a 4^4
-    curvature made 136 page faults per call).  A caller holds one set at a
-    time.  The slabs of a larger window take new arrays, one per stack: one
-    block per slab made the kernels-16 benchmark 8 % slower."""
-    sites = ((rows[1] - rows[0],) if rows else dims[:1]) + dims[1:]
-    if rows is not None:
-        return [np.empty((h, 2, 2) + sites, complex) for h in heights]
-    size = 4 * math.prod(sites)
-    block = getattr(_worker, "scratch", None)
-    if block is None or block.size < size * sum(heights):
-        block = np.empty(size * sum(heights), complex)
-        if block.size <= 64 * SLAB_SITES:
-            _worker.scratch = block
-    stacks = block[:size * sum(heights)].reshape((-1, 2, 2) + sites)
-    return [stacks[end - h:end] for h, end in zip(heights, itertools.accumulate(heights))]
-
-
+_worker = threading.local()  # .busy is set in the threads of the slab pool
 _pool_lock = threading.Lock()
 
 

@@ -24,12 +24,9 @@ from .cochain import (
     GaugeField,
     _for_slabs,
     _plane_groups,
-    _scratch,
     shifted_read,
 )
 from .lattice import Window
-
-_ORIGIN = ((0, 0, 0, 0),) * 6
 
 
 def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0), rows=None, out=None):
@@ -43,65 +40,50 @@ def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0), ro
     is sites-last, shape (2, 2) + dims, like one slot of `Field.buf`, cut to
     first indices [lo, hi) by rows=(lo, hi); it goes to `out` or a new array.
     """
-    w = conn.window
-    if out is None:
-        out = np.empty((2, 2) + ((rows[1] - rows[0],) if rows else w.dims[:1]) + w.dims[1:], complex)
-    _planes_curvature(conn, ((i, j),), (tuple(base),), rows, out[None], *_scratch(w.dims, rows, 1, 4))
+    stack = None if out is None else out[None]
+    return _planes_curvature(conn, ((i, j),), rows, stack, (tuple(base),))[0]
+
+
+def _planes_curvature(conn: ConnectionField, planes, rows=None, out=None, bases=None):
+    """`plane_curvature` of each plane (i, j) of `planes`, read at its entry
+    of `bases` (default all zero), as a stack (plane, 2, 2) + sites in `out`
+    or a new array: each term is one numpy call over the stack."""
+    ai, aj, ai_up_j, aj_up_i = _plane_stacks(conn.buf, conn.window, planes, rows, bases)
+    # accumulated in place, left to right as printed; t holds each term
+    out = np.subtract(aj_up_i, aj, out)
+    t = ai_up_j - ai
+    out -= t
+    out += algebra._mul_stacks(ai, aj_up_i, t)
+    out -= algebra._mul_stacks(aj, ai_up_j, t)
     return out
 
 
-def _plane_stacks(buf, window, planes, bases, rows, reads):
+def _plane_stacks(buf, window, planes, rows=None, bases=None):
     """A^i, A^j, A^i(+e_j) and A^j(+e_i) of each plane (i, j), read at its
-    base, as stacks of the slots of `buf`: one stacked read into `reads`
-    (4 len(planes) slots), of the last two only for one unshifted plane,
-    whose A^i and A^j are views of `buf`."""
-    slots, offsets = _stack_reads(planes, bases)
-    read = shifted_read(buf, window, offsets, rows=rows, slots=slots, out=reads[:len(slots)])
-    n = len(planes)
+    base (default all zero), as stacks of the slots of `buf` from one stacked
+    read; one unshifted plane reads the last two only and takes A^i and A^j
+    as views of `buf`."""
+    slots, offsets = _stack_reads(tuple(planes), bases or ((0, 0, 0, 0),) * len(planes))
+    read = shifted_read(buf, window, offsets, rows=rows, slots=slots)
     if len(slots) == 2:
         (i, j), = planes
         cut = (slice(None),) * 3 + (slice(*rows) if rows else slice(None),)
         return buf[i - 1:i][cut], buf[j - 1:j][cut], read[1:], read[:1]
+    n = len(planes)
     return read[2 * n:3 * n], read[3 * n:], read[n:2 * n], read[:n]
 
 
 @functools.lru_cache(maxsize=256)
 def _stack_reads(planes: tuple, bases: tuple) -> tuple:
-    """(slots, offsets) of the stacked read of `_plane_stacks`: A^j(+e_i),
-    A^i(+e_j), A^i and A^j per plane in turn, each read at its base; the last
-    two are left out for one unshifted plane."""
+    """(slots, offsets) of the read of `_plane_stacks`: A^j(+e_i), A^i(+e_j),
+    A^i and A^j of every plane in turn, the last two left out for one
+    unshifted plane."""
     si, sj = tuple(i - 1 for i, _ in planes), tuple(j - 1 for _, j in planes)
     up_i = tuple(b[:i - 1] + (b[i - 1] + 1,) + b[i:] for (i, _), b in zip(planes, bases))
     up_j = tuple(b[:j - 1] + (b[j - 1] + 1,) + b[j:] for (_, j), b in zip(planes, bases))
     if len(planes) == 1 and not any(bases[0]):
         return sj + si, up_i + up_j
     return sj + si + si + sj, up_i + up_j + bases + bases
-
-
-def _planes_curvature(conn: ConnectionField, planes, bases, rows, out, t, reads):
-    """`plane_curvature` of each plane (i, j) of `planes`, read at its entry
-    of `bases`, into `out`, a stack of shape (len(planes), 2, 2) + sites:
-    each term is one numpy call over the stack with the arithmetic of one
-    plane.  t (one stack) and reads (four) are scratch."""
-    ai, aj, ai_up_j, aj_up_i = _plane_stacks(conn.buf, conn.window, planes, bases, rows, reads)
-    # accumulated in place, left to right as printed; t holds each term
-    np.subtract(aj_up_i, aj, out)
-    out -= np.subtract(ai_up_j, ai, t)
-    out += _mul(ai, aj_up_i, t)
-    out -= _mul(aj, ai_up_j, t)
-    return out
-
-
-def _mul(x, y, out):
-    """algebra.mul per slot of stacks (slot, 2, 2) + sites, into `out`;
-    x.swapaxes(1, 2) is the stack of the transposed matrices of x."""
-    algebra.mul(x.transpose(_ENTRIES_FIRST), y.transpose(_ENTRIES_FIRST),
-                out=out.transpose(_ENTRIES_FIRST))
-    return out
-
-
-# The entries-first view, (2, 2, slot) + sites, of a stack (slot, 2, 2) + sites.
-_ENTRIES_FIRST = (1, 2, 0, 3, 4, 5, 6)
 
 
 def curvature(conn: ConnectionField) -> CurvatureField:
@@ -112,13 +94,9 @@ def curvature(conn: ConnectionField) -> CurvatureField:
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
 
-    groups = _plane_groups(conn.window.dims)
-
     def body(rows, index):
-        slab = out.buf[index]
-        t, reads = _scratch(conn.window.dims, rows, groups[0].stop, 4 * groups[0].stop)
-        for group in groups:
-            _planes_curvature(conn, PLANES[group], _ORIGIN[group], rows, slab[group], t, reads)
+        for group in _plane_groups(conn.window.dims):
+            _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
     _for_slabs(conn.window.dims, body)
     return out
 

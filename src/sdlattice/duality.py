@@ -36,12 +36,11 @@ from .cochain import (
     CurvatureField,
     _for_slabs,
     _plane_groups,
-    _scratch,
     diagonal_shift,
     max_entry,
     shifted_read,
 )
-from .curvature import _ORIGIN, _planes_curvature
+from .curvature import _planes_curvature
 from .hodge import _READS, star, star_moves
 from .lattice import METRICS, Window
 
@@ -115,16 +114,12 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     # per star move, target-ordered: a own plane + b sign (source plane at the offsets)
     slots, offsets, signs = _READS[problem.metric, False]
     sources = tuple(PLANES[s] for s in slots)
-    groups = _plane_groups(conn.window.dims)
 
     def body(rows, index):
-        height = groups[0].stop
-        t, reads, other = _scratch(conn.window.dims, rows, height, 4 * height, height)
-        for group in groups:
-            own = _planes_curvature(conn, PLANES[group], _ORIGIN[group], rows,
-                                    out.buf[index][group], t, reads)
+        for group in _plane_groups(conn.window.dims):
+            own = _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
             np.multiply(a, own, out=own)
-            _planes_curvature(conn, sources[group], offsets[group], rows, other, t, reads)
+            other = _planes_curvature(conn, sources[group], rows, bases=offsets[group])
             np.multiply(signs[group], other, out=other)
             own += np.multiply(b, other, out=other)
     _for_slabs(conn.window.dims, body)

@@ -40,25 +40,22 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 import time
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, MEMBERSHIP, sl2c_coefficients
+from .algebra import BASIS, MEMBERSHIP, _mul_stacks, sl2c_coefficients
 from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
-    _blocks,
     _for_slabs,
     _plane_groups,
-    _scratch,
     shifted_read,
 )
-from .curvature import _ORIGIN, _mul, _plane_stacks, curvature
+from .curvature import _plane_stacks, curvature
 from .duality import DualityProblem, residual
 from .hodge import _moved
 from .lattice import Window
@@ -69,7 +66,8 @@ LBFGS_MEMORY = 10
 # mu of the preconditioner (M + mu I)^-1, relative to the largest eigenvalue of M.
 PRECONDITIONER_SHIFT = 1e-2
 
-# Unit read offsets -e_i per axis i.
+# Unit read offsets +e_i and -e_i per axis i.
+_UP = {i: tuple(int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
 _DOWN = {i: tuple(-int(k == i) for k in (1, 2, 3, 4)) for i in (1, 2, 3, 4)}
 
 
@@ -219,57 +217,50 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
         g_s *= 2.0
     _for_slabs(w.dims, adjoint)
     grad = np.zeros_like(conn.buf)
-    hs = defaultdict(lambda: np.empty_like(g_f[groups[0]]))  # h per thread: slabs share rows of it
 
     def pull_back(rows, index):
-        h = hs[threading.get_ident()]
-        g_slab, grad_slab = g_f[index], grad[index]
-        height = groups[0].stop
-        reads, t0, t1, t2, *dag = _scratch(w.dims, rows, 4 * height, height, height, height,
-                                           *([4] if rows is None else []))
-        # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
-        # dagger of the shift).  One slab reads one conjugate of the connection;
-        # a slab of rows conjugates what it reads.
-        src = np.conjugate(conn.buf, out=dag[0]) if dag else conn.buf
+        grad_slab, n = grad[index], groups[0].stop
+        t, u, a, g_down = (np.empty((m * n,) + g_f[index].shape[1:], complex) for m in (1, 1, 4, 2))
         for group in groups:
-            planes, g, g_s = PLANES[group], g_f[group], g_slab[group]
-            ai, aj, ai_up_j, aj_up_i = _plane_stacks(src, w, planes, _ORIGIN[group], rows, reads)
-            if rows is not None:
-                np.conjugate(ai_up_j, out=ai_up_j)
-                np.conjugate(aj_up_i, out=aj_up_i)
-
-            def down(a_dag, axes, out):
-                # g + A^k^dag g read at -e_k, k per plane, minus g_s, into out; h takes
-                # the sum on the rows the read draws from (a slab of rows holds one
-                # plane, whose A^k rows are conjugated into out first)
-                k = axes[0]
-                for lo, hi in [(None, None)] if rows is None else {
-                        (s[1].start, s[1].stop) for _, s, _ in _blocks(w.dims, _DOWN[k], rows)}:
-                    a_r = a_dag if rows is None else np.conjugate(
-                        conn.buf[k - 1:k, :, :, lo:hi], out=out[:, :, :, :hi - lo])
-                    g_r, h_r = g[:, :, :, lo:hi], h[:, :, :, lo:hi]
-                    np.add(g_r, _mul(a_r.swapaxes(1, 2), g_r, h_r), h_r)
-                read = shifted_read(h, w, tuple(_DOWN[k] for k in axes), rows=rows, out=out,
-                                    slots=range(len(axes)))
-                return np.subtract(read, g_s, read)
-
+            planes, g_s = PLANES[group], g_f[index][group]
+            (a_slots, a_offsets), (g_slots, g_offsets) = _pull_back_reads(group.start, group.stop)
+            # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
+            # dagger of the shift)
+            shifted_read(conn.buf, w, a_offsets, rows=rows, out=a, slots=a_slots)
+            np.conjugate(a, out=a)
+            shifted_read(g_f, w, g_offsets, rows=rows, out=g_down, slots=g_slots)
             # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
             # difference term and the product term's shifted factor pull back
-            # through the same down-shift into the same component: one read each.
-            terms = (down(ai, tuple(i for i, _ in planes), t0),
-                     down(aj, tuple(j for _, j in planes), t1),
-                     _mul(g_s, aj_up_i.swapaxes(1, 2), t2))
-            # A^j(+e_i) is spent: the last term takes its place
-            terms += (_mul(g_s, ai_up_j.swapaxes(1, 2), aj_up_i),)
-            # each component sums its terms in plane order
-            for n, (i, j) in enumerate(planes):
-                gi, gj = grad_slab[i - 1], grad_slab[j - 1]
-                gj += terms[0][n]
-                gi -= terms[1][n]
-                gi += terms[2][n]
-                gj -= terms[3][n]
+            # through the same down-shift into the same component: (g + A^k^dag g)
+            # at -e_k, minus g_s, for k = i into component j and k = j into i.
+            # Component j also takes -g_s A^i(+e_j)^dag and component i
+            # g_s A^j(+e_i)^dag.  Every component is j in all its planes before
+            # it is i in any, so a group's j terms go before its i terms and each
+            # component sums its terms in plane order.
+            for side, k, up, first, second in ((1, 0, a[n:2 * n], np.add, np.subtract),
+                                               (0, 1, a[:n], np.subtract, np.add)):
+                a_down, g_d = a[(2 + k) * n:(3 + k) * n], g_down[k * n:(k + 1) * n]
+                np.add(g_d, _mul_stacks(a_down.swapaxes(1, 2), g_d, t), t)
+                np.subtract(t, g_s, t)
+                _mul_stacks(g_s, up.swapaxes(1, 2), u)
+                for m, plane in enumerate(planes):
+                    target = grad_slab[plane[side] - 1]
+                    first(target, t[m], target)
+                    second(target, u[m], target)
     _for_slabs(w.dims, pull_back)
     return grad
+
+
+@functools.lru_cache(maxsize=16)
+def _pull_back_reads(lo: int, hi: int) -> tuple:
+    """(slots, offsets) of the two stacked reads of a pull-back tile of
+    planes [lo, hi): A^j(+e_i), A^i(+e_j), A^i(-e_i) and A^j(-e_j) of each
+    plane in turn from the connection, g(-e_i) and g(-e_j) from the plane
+    slots of g."""
+    i, j = zip(*PLANES[lo:hi])
+    si, sj = tuple(k - 1 for k in i), tuple(k - 1 for k in j)
+    down = tuple(_DOWN[k] for k in i + j)
+    return (sj + si + si + sj, tuple(_UP[k] for k in i + j) + down), (tuple(range(lo, hi)) * 2, down)
 
 
 def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, SolveReport]:
@@ -362,13 +353,10 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     plane, and r1 = r(1) - res.buf - r2 takes one full evaluation, at A + d."""
     w = conn.window
     products = CurvatureField.zeros(w)
-    groups = _plane_groups(w.dims)
-    t, reads = _scratch(w.dims, None, groups[0].stop, 4 * groups[0].stop)
-    for group in groups:
-        di, dj, di_up_j, dj_up_i = _plane_stacks(step.buf, w, PLANES[group], _ORIGIN[group], None,
-                                                 reads)
-        out = _mul(di, dj_up_i, products.buf[group])
-        out -= _mul(dj, di_up_j, t)
+    for group in _plane_groups(w.dims):
+        di, dj, di_up_j, dj_up_i = _plane_stacks(step.buf, w, PLANES[group])
+        out = _mul_stacks(di, dj_up_i, products.buf[group])
+        out -= _mul_stacks(dj, di_up_j)
     r2 = residual(products, problem).buf
     r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
     r1 -= r2

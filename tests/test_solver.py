@@ -153,10 +153,10 @@ def test_gradient_field_shape():
 
 def test_gradient_read_budget(monkeypatch):
     # on 3^4 every kernel takes its six planes as one stack (one slab, one
-    # group of six), so one gradient reads six times: the curvature, the star,
-    # the adjoint star, the pull-back's operands and its two down-reads (each
-    # down-read serves a difference term and a product term); no np.roll
-    # anywhere along the way
+    # group of six), so one gradient reads five times: the curvature, the
+    # star, the adjoint star, and the pull-back's reads of A and of g (each
+    # read of g at -e_k serves a difference term and a product term); no
+    # np.roll anywhere along the way
     calls = 0
 
     def counted(*args, **kwargs):
@@ -176,7 +176,7 @@ def test_gradient_read_budget(monkeypatch):
     w = Window((3, 3, 3, 3), "periodic")
     a = random_connection(w, "su2", seed=8, scale=0.3)
     gradient_coefficients(a, EUCLID_SD)
-    assert calls == 6
+    assert calls == 5
     # every kernel's reads are counted: one each for curvature, star and residual
     calls = 0
     f = curvature(a)
