@@ -220,14 +220,14 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
 
     def pull_back(rows, index):
         grad_slab, n = grad[index], groups[0].stop
-        t, u, a, g_down = (np.empty((m * n,) + g_f[index].shape[1:], complex) for m in (1, 1, 4, 2))
+        t, u, dag, g_down = (np.empty((m * n,) + g_f[index].shape[1:], complex) for m in (1, 1, 4, 2))
         for group in groups:
             planes, g_s = PLANES[group], g_f[index][group]
             (a_slots, a_offsets), (g_slots, g_offsets) = _pull_back_reads(group.start, group.stop)
             # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
             # dagger of the shift)
-            shifted_read(conn.buf, w, a_offsets, rows=rows, out=a, slots=a_slots)
-            np.conjugate(a, out=a)
+            shifted_read(conn.buf, w, a_offsets, rows=rows, out=dag, slots=a_slots)
+            np.conjugate(dag, out=dag)
             shifted_read(g_f, w, g_offsets, rows=rows, out=g_down, slots=g_slots)
             # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
             # difference term and the product term's shifted factor pull back
@@ -237,9 +237,9 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
             # g_s A^j(+e_i)^dag.  Every component is j in all its planes before
             # it is i in any, so a group's j terms go before its i terms and each
             # component sums its terms in plane order.
-            for side, k, up, first, second in ((1, 0, a[n:2 * n], np.add, np.subtract),
-                                               (0, 1, a[:n], np.subtract, np.add)):
-                a_down, g_d = a[(2 + k) * n:(3 + k) * n], g_down[k * n:(k + 1) * n]
+            for side, k, up, first, second in ((1, 0, dag[n:2 * n], np.add, np.subtract),
+                                               (0, 1, dag[:n], np.subtract, np.add)):
+                a_down, g_d = dag[(2 + k) * n:(3 + k) * n], g_down[k * n:(k + 1) * n]
                 np.add(g_d, _mul_stacks(a_down.swapaxes(1, 2), g_d, t), t)
                 np.subtract(t, g_s, t)
                 _mul_stacks(g_s, up.swapaxes(1, 2), u)
