@@ -1,8 +1,8 @@
 """2x2 complex matrix arithmetic for su(2), sl(2,C) and their groups.
 
 Matrices are plain ``(2, 2)`` complex numpy arrays, or stacks of them over
-leading axes; `mul` alone takes its stacks entries-first, in the memory
-order of `Field.buf`.  The Lie algebra basis is ``l_a = -(i/2) * sigma_a``
+leading axes; `mul` alone takes stacks laid out like `Field.buf`, sites
+last.  The Lie algebra basis is ``l_a = -(i/2) * sigma_a``
 (``sigma_a`` the Pauli matrices), normalized so that ``[l_1, l_2] = l_3``
 and cyclic permutations.  With this choice the basis is orthogonal under
 ``<X, Y> = tr(X^dag Y)`` with ``<l_a, l_a> = 1/2``.
@@ -43,33 +43,20 @@ def dagger(x: np.ndarray) -> np.ndarray:
 
 
 def mul(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Matrix product x y of 2x2 matrices whose entries are the first two axes.
+    """Matrix product x y of sites-last stacks of 2x2 matrices, shape
+    (..., 2, 2) plus four site axes, such as `Field.buf` or its slots.
 
-    The axes after the first two index the stack (the sites of a
-    `Field.buf` component) and broadcast; a single matrix meets a stack as
-    shape (2, 2, 1, ...).  Entry (r, c) is x_r0 y_0c + x_r1 y_1c, computed as
-    the sum of two broadcast outer products (column of x times row of y),
-    each a contiguous sweep over the stack when the operands are sites-last
-    buffers.  The result goes to `out`, which must not overlap x or y (the
-    second product reads them after the first is written), or to a new array.
+    The leading axes and the sites broadcast; a single matrix meets a stack
+    as shape (2, 2, 1, 1, 1, 1).  Entry (r, c) is x_r0 y_0c + x_r1 y_1c,
+    computed as the sum of two broadcast outer products (column of x times
+    row of y), each a contiguous sweep over the sites; x.swapaxes(-6, -5)
+    is the stack of the transposed matrices of x.  The result goes to
+    `out`, which must not overlap x or y (the second product reads them
+    after the first is written), or to a new array.
     """
-    out = np.multiply(x[:, 0, None], y[None, 0], out)
-    out += x[:, 1, None] * y[None, 1]
+    out = np.multiply(x[..., :, 0, None, :, :, :, :], y[..., None, 0, :, :, :, :, :], out)
+    out += x[..., :, 1, None, :, :, :, :] * y[..., None, 1, :, :, :, :, :]
     return out
-
-
-def _mul_stacks(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """`mul` slot by slot of stacks (slot, 2, 2) + sites, such as the planes
-    `Field.buf[a:b]`, through their entries-first views, into `out` or a new
-    stack; x.swapaxes(1, 2) is the stack of the transposed matrices of x."""
-    if out is None:
-        out = np.empty(x.shape, complex)
-    mul(x.transpose(_ENTRIES_FIRST), y.transpose(_ENTRIES_FIRST), out.transpose(_ENTRIES_FIRST))
-    return out
-
-
-# The entries-first view, (2, 2, slot) + sites, of a stack (slot, 2, 2) + sites.
-_ENTRIES_FIRST = (1, 2, 0, 3, 4, 5, 6)
 
 
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:

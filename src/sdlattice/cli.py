@@ -84,6 +84,8 @@ def _check_metric(field, metric: str, path) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.matrix is not None and args.kind != "constant":
+        raise UsageError(f"--matrix is for --kind constant only, not --kind {args.kind}")
     window = _parse_window(args)
     if args.kind == "zero":
         field = zero_connection(window, args.algebra)
@@ -99,7 +101,6 @@ def cmd_gen(args) -> int:
         field = random_connection(window, args.algebra, args.seed, args.scale)
     elif args.kind == "pure-gauge":
         field = pure_gauge(random_gauge(window, args.algebra, args.seed))
-        field.algebra = "general"
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"--kind: unknown kind {args.kind!r}")
     save(field, args.output)

@@ -15,11 +15,12 @@ whole-field operation is one contiguous sweep; their one site read,
 as `buf` or one of its slots, and copies blocks of one cached table: all
 of them on periodic windows, only the one inside the box on zero windows;
 with slots= it reads a stack of slots, each at its own offsets, in one call.
-The kernels work tile by tile, a slab of first-axis rows (`_slabs`) times a
-group of planes (`_plane_groups`: 6 on 2^4-3^4, 3 on 4^4, 1 from 5^4 on),
-each term of a tile one numpy call; slabs run on a pool of one thread per
-usable CPU (`_for_slabs`), and results are bitwise the same for any slab
-size, group and thread count.
+Every kernel is the body of one tile, which `_for_tiles` calls for each
+slab of first-axis rows (`_slabs`) and each group of planes
+(`_plane_groups`: 6 on 2^4-3^4, 3 on 4^4, 1 from 5^4 on), each term of a
+tile one numpy call; slabs run on a pool of one thread per usable CPU
+(`_for_slabs`), and results are bitwise the same for any slab size, group
+and thread count.
 """
 from __future__ import annotations
 
@@ -216,6 +217,17 @@ def _for_slabs(dims: tuple, body) -> None:
     for error in [future.exception() for future in futures]:
         if error is not None:
             raise error
+
+
+def _for_tiles(dims: tuple, body) -> None:
+    """body(rows, index, group) for every tile: per slab of `_for_slabs`,
+    every plane group of `_plane_groups(dims)` in order, in one thread."""
+    groups = _plane_groups(dims)
+
+    def slab(rows, index):
+        for group in groups:
+            body(rows, index, group)
+    _for_slabs(dims, slab)
 
 
 class Field:

@@ -22,39 +22,32 @@ from .cochain import (
     ConnectionField,
     CurvatureField,
     GaugeField,
-    _for_slabs,
-    _plane_groups,
+    _for_tiles,
     shifted_read,
 )
 from .lattice import Window
 
 
-def plane_curvature(conn: ConnectionField, i: int, j: int, base=(0, 0, 0, 0), rows=None, out=None):
-    """The curvature expression for plane (i, j), every read offset by `base`:
+def _planes_curvature(conn: ConnectionField, planes, rows=None, out=None, bases=None):
+    """The curvature expression of each plane (i, j) of `planes`, every read
+    offset by its entry of `bases` (default all zero):
 
         Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j)
 
     Offsets compose on Z^4 before the boundary mode resolves them, matching
     the printed composite subscripts (e.g. A^4 at sigma_34 k + e_3 reads at
-    sigma_4 k); `base=0` gives the F^{ij} slot of `curvature`.  The result
-    is sites-last, shape (2, 2) + dims, like one slot of `Field.buf`, cut to
-    first indices [lo, hi) by rows=(lo, hi); it goes to `out` or a new array.
+    sigma_4 k); a zero base gives the F^{ij} slot of `curvature`.  The
+    result is a sites-last stack (plane, 2, 2) + dims, like slots of
+    `Field.buf`, cut to first indices [lo, hi) by rows=(lo, hi); it goes to
+    `out` or a new array, each term one numpy call over the stack.
     """
-    stack = None if out is None else out[None]
-    return _planes_curvature(conn, ((i, j),), rows, stack, (tuple(base),))[0]
-
-
-def _planes_curvature(conn: ConnectionField, planes, rows=None, out=None, bases=None):
-    """`plane_curvature` of each plane (i, j) of `planes`, read at its entry
-    of `bases` (default all zero), as a stack (plane, 2, 2) + sites in `out`
-    or a new array: each term is one numpy call over the stack."""
     ai, aj, ai_up_j, aj_up_i = _plane_stacks(conn.buf, conn.window, planes, rows, bases)
     # accumulated in place, left to right as printed; t holds each term
     out = np.subtract(aj_up_i, aj, out)
     t = ai_up_j - ai
     out -= t
-    out += algebra._mul_stacks(ai, aj_up_i, t)
-    out -= algebra._mul_stacks(aj, ai_up_j, t)
+    out += algebra.mul(ai, aj_up_i, t)
+    out -= algebra.mul(aj, ai_up_j, t)
     return out
 
 
@@ -88,16 +81,12 @@ def _stack_reads(planes: tuple, bases: tuple) -> tuple:
 
 def curvature(conn: ConnectionField) -> CurvatureField:
     """Curvature 2-cochain of a connection, same window and boundary mode,
-    written tile by tile straight into its plane slots: per slab of
-    `cochain._for_slabs`, one stack of planes per `cochain._plane_groups`."""
+    written tile by tile (`cochain._for_tiles`) straight into its plane slots."""
     # product terms leave su(2)/sl(2,C), so curvature values are general
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = conn.metric
-
-    def body(rows, index):
-        for group in _plane_groups(conn.window.dims):
-            _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
-    _for_slabs(conn.window.dims, body)
+    _for_tiles(conn.window.dims, lambda rows, index, group: _planes_curvature(
+        conn, PLANES[group], rows, out.buf[index][group]))
     return out
 
 

@@ -34,14 +34,13 @@ from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
-    _for_slabs,
-    _plane_groups,
+    _for_tiles,
     diagonal_shift,
     max_entry,
     shifted_read,
 )
 from .curvature import _planes_curvature
-from .hodge import _READS, star, star_moves
+from .hodge import _READS, _moved, star_moves
 from .lattice import METRICS, Window
 
 ORIENTATIONS = ("self_dual", "anti_self_dual")
@@ -83,14 +82,21 @@ class DualityProblem:
 def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
     """Residual 2-cochain a F + b *F of the duality operator; zero iff F is a solution."""
     a, b = problem.coefficients
-    out = star(field, problem.metric)
+    w = field.window
+    buf = np.empty_like(field.buf)
+    _for_tiles(w.dims, lambda rows, index, group: _residual_tile(
+        field.buf, w, problem.metric, a, b, False, rows, index, group, buf[index][group]))
+    return CurvatureField._from_buf(w, buf, field.algebra, problem.metric)
 
-    def body(_, index):
-        # b *F is scaled in place, so a F is the one temporary, slab-sized
-        res = out.buf[index]
-        res *= b
-        res += a * field.buf[index]
-    _for_slabs(field.window.dims, body)
+
+def _residual_tile(data, window, metric, a, b, transpose, rows, index, group, out):
+    """Tile (rows, group) of a X + b S X, S the star, of the six-slot
+    sites-last `data` (or of a X + b S^T X with transpose=True), written to
+    `out`; index is the slab's sites-last index.  b S X is scaled in place,
+    so a X is the one temporary, tile-sized."""
+    out = _moved(data, window, metric, transpose, group, rows, out)
+    out *= b
+    out += a * data[index][group]
     return out
 
 
@@ -115,14 +121,13 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     slots, offsets, signs = _READS[problem.metric, False]
     sources = tuple(PLANES[s] for s in slots)
 
-    def body(rows, index):
-        for group in _plane_groups(conn.window.dims):
-            own = _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
-            np.multiply(a, own, out=own)
-            other = _planes_curvature(conn, sources[group], rows, bases=offsets[group])
-            np.multiply(signs[group], other, out=other)
-            own += np.multiply(b, other, out=other)
-    _for_slabs(conn.window.dims, body)
+    def body(rows, index, group):
+        own = _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
+        np.multiply(a, own, out=own)
+        other = _planes_curvature(conn, sources[group], rows, bases=offsets[group])
+        np.multiply(signs[group], other, out=other)
+        own += np.multiply(b, other, out=other)
+    _for_tiles(conn.window.dims, body)
     return out
 
 

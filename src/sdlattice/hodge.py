@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_slabs, _plane_groups, shifted_read
+from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_tiles, shifted_read
 from .lattice import METRICS, Index
 
 # Star sign of each source plane, in PLANES order.
@@ -79,11 +79,8 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
     star_moves(metric)  # refuses an unknown metric
     w = field.window
     buf = np.empty_like(field.buf)
-
-    def body(rows, index):
-        for group in _plane_groups(w.dims):
-            _moved(field.buf, w, metric, False, group, rows, buf[index][group])
-    _for_slabs(w.dims, body)
+    _for_tiles(w.dims, lambda rows, index, group: _moved(
+        field.buf, w, metric, False, group, rows, buf[index][group]))
     return CurvatureField._from_buf(w, buf, field.algebra, metric)
 
 

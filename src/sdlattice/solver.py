@@ -46,18 +46,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, MEMBERSHIP, _mul_stacks, sl2c_coefficients
+from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
 from .cochain import (
     PLANES,
     ConnectionField,
     CurvatureField,
     _for_slabs,
-    _plane_groups,
+    _for_tiles,
     shifted_read,
 )
 from .curvature import _plane_stacks, curvature
-from .duality import DualityProblem, residual
-from .hodge import _moved
+from .duality import DualityProblem, _residual_tile, residual
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
@@ -202,52 +201,45 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     if res is None:
         res = residual(curvature(conn), problem)
     # Adjoint of the residual operator a F + b S F applied to the residual
-    # itself: 2 (conj(a) res + conj(b) S^T res).  S^T reads each star move
-    # backwards: slot source gets sign times slot target read at -offsets.
+    # itself: 2 (conj(a) res + conj(b) S^T res), S^T the star moves read backwards.
     a, b = problem.coefficients
     g_f = np.empty_like(res.buf)
-    groups = _plane_groups(w.dims)
 
-    def adjoint(rows, index):
-        g_s = g_f[index]
-        for group in groups:
-            _moved(res.buf, w, problem.metric, True, group, rows, g_s[group])
-        g_s *= b.conjugate()
-        g_s += a.conjugate() * res.buf[index]
-        g_s *= 2.0
-    _for_slabs(w.dims, adjoint)
+    def adjoint(rows, index, group):
+        tile = _residual_tile(res.buf, w, problem.metric, a.conjugate(), b.conjugate(), True,
+                              rows, index, group, g_f[index][group])
+        tile *= 2.0
+    _for_tiles(w.dims, adjoint)
     grad = np.zeros_like(conn.buf)
 
-    def pull_back(rows, index):
-        grad_slab, n = grad[index], groups[0].stop
-        t, u, dag, g_down = (np.empty((m * n,) + g_f[index].shape[1:], complex) for m in (1, 1, 4, 2))
-        for group in groups:
-            planes, g_s = PLANES[group], g_f[index][group]
-            (a_slots, a_offsets), (g_slots, g_offsets) = _pull_back_reads(group.start, group.stop)
-            # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
-            # dagger of the shift)
-            shifted_read(conn.buf, w, a_offsets, rows=rows, out=dag, slots=a_slots)
-            np.conjugate(dag, out=dag)
-            shifted_read(g_f, w, g_offsets, rows=rows, out=g_down, slots=g_slots)
-            # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
-            # difference term and the product term's shifted factor pull back
-            # through the same down-shift into the same component: (g + A^k^dag g)
-            # at -e_k, minus g_s, for k = i into component j and k = j into i.
-            # Component j also takes -g_s A^i(+e_j)^dag and component i
-            # g_s A^j(+e_i)^dag.  Every component is j in all its planes before
-            # it is i in any, so a group's j terms go before its i terms and each
-            # component sums its terms in plane order.
-            for side, k, up, first, second in ((1, 0, dag[n:2 * n], np.add, np.subtract),
-                                               (0, 1, dag[:n], np.subtract, np.add)):
-                a_down, g_d = dag[(2 + k) * n:(3 + k) * n], g_down[k * n:(k + 1) * n]
-                np.add(g_d, _mul_stacks(a_down.swapaxes(1, 2), g_d, t), t)
-                np.subtract(t, g_s, t)
-                _mul_stacks(g_s, up.swapaxes(1, 2), u)
-                for m, plane in enumerate(planes):
-                    target = grad_slab[plane[side] - 1]
-                    first(target, t[m], target)
-                    second(target, u[m], target)
-    _for_slabs(w.dims, pull_back)
+    def pull_back(rows, index, group):
+        planes, g_s, n = PLANES[group], g_f[index][group], group.stop - group.start
+        (a_slots, a_offsets), (g_slots, g_offsets) = _pull_back_reads(group.start, group.stop)
+        # A^dag is conj(A) with its entry axes swapped (a shifted dagger is the
+        # dagger of the shift)
+        dag = shifted_read(conn.buf, w, a_offsets, rows=rows, slots=a_slots)
+        np.conjugate(dag, out=dag)
+        g_down = shifted_read(g_f, w, g_offsets, rows=rows, slots=g_slots)
+        # F gets Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j).  A
+        # difference term and the product term's shifted factor pull back
+        # through the same down-shift into the same component: (g + A^k^dag g)
+        # at -e_k, minus g_s, for k = i into component j and k = j into i.
+        # Component j also takes -g_s A^i(+e_j)^dag and component i
+        # g_s A^j(+e_i)^dag.  Every component is j in all its planes before
+        # it is i in any, so a group's j terms go before its i terms and each
+        # component sums its terms in plane order.
+        for side, k, up, first, second in ((1, 0, dag[n:2 * n], np.add, np.subtract),
+                                           (0, 1, dag[:n], np.subtract, np.add)):
+            a_down, g_d = dag[(2 + k) * n:(3 + k) * n], g_down[k * n:(k + 1) * n]
+            t = mul(a_down.swapaxes(-6, -5), g_d)
+            t += g_d
+            t -= g_s
+            u = mul(g_s, up.swapaxes(-6, -5))
+            for m, plane in enumerate(planes):
+                target = grad[index][plane[side] - 1]
+                first(target, t[m], target)
+                second(target, u[m], target)
+    _for_tiles(w.dims, pull_back)
     return grad
 
 
@@ -353,10 +345,12 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     plane, and r1 = r(1) - res.buf - r2 takes one full evaluation, at A + d."""
     w = conn.window
     products = CurvatureField.zeros(w)
-    for group in _plane_groups(w.dims):
-        di, dj, di_up_j, dj_up_i = _plane_stacks(step.buf, w, PLANES[group])
-        out = _mul_stacks(di, dj_up_i, products.buf[group])
-        out -= _mul_stacks(dj, di_up_j)
+
+    def product(rows, index, group):
+        di, dj, di_up_j, dj_up_i = _plane_stacks(step.buf, w, PLANES[group], rows)
+        out = mul(di, dj_up_i, products.buf[index][group])
+        out -= mul(dj, di_up_j)
+    _for_tiles(w.dims, product)
     r2 = residual(products, problem).buf
     r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
     r1 -= r2

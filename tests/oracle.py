@@ -14,7 +14,7 @@ import numpy as np
 
 from sdlattice.algebra import as_rng, dagger, from_coefficients, random_coefficients
 from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField
-from sdlattice.curvature import plane_curvature
+from sdlattice.curvature import _planes_curvature
 from sdlattice.duality import DualityProblem, RelationReport
 from sdlattice.hodge import star_moves
 
@@ -128,8 +128,8 @@ def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> Relat
         raise ValueError("difference-form check requires a periodic window")
     violation = 0.0
     for plane in PLANES:
-        lhs = plane_curvature(conn, *plane)
-        rhs = plane_curvature(conn, *plane, base=(-1, -1, -1, -1))
+        lhs = _planes_curvature(conn, (plane,))[0]
+        rhs = _planes_curvature(conn, (plane,), bases=((-1, -1, -1, -1),))[0]
         violation = max(violation, float(np.max(np.abs(lhs - rhs))))
     return RelationReport(holds=violation <= tol, max_violation=violation)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -130,50 +132,57 @@ def test_group_membership():
         assert has_unit_determinant(h)
 
 
-def random_stack(rng, shape):
-    """Random complex matrices stacked entries-first, shape (2, 2) + shape."""
-    x = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
-    return np.moveaxis(x, (-2, -1), (0, 1))
+def random_stack(rng, lead, sites):
+    """Random complex matrices stacked sites-last like `Field.buf`, shape
+    lead + (2, 2) + sites, with four site axes."""
+    x = rng.normal(size=lead + sites + (2, 2)) + 1j * rng.normal(size=lead + sites + (2, 2))
+    return np.moveaxis(x, (-2, -1), (len(lead), len(lead) + 1))
 
 
 def test_mul_matches_matmul_per_matrix():
+    # a stack of three slots, and its transposed matrices through swapaxes
     rng = np.random.default_rng(12)
-    x, y = random_stack(rng, (3, 2, 4)), random_stack(rng, (3, 2, 4))
-    p = al.mul(x, y)
-    assert p.shape == x.shape
-    for idx in np.ndindex(3, 2, 4):
-        ref = x[(...,) + idx] @ y[(...,) + idx]
-        assert np.max(np.abs(p[(...,) + idx] - ref)) <= 1e-15 * np.max(np.abs(ref))
+    x, y = random_stack(rng, (3,), (3, 2, 1, 4)), random_stack(rng, (3,), (3, 2, 1, 4))
+    for left, transposed in ((x, False), (x.swapaxes(-6, -5), True)):
+        p = al.mul(left, y)
+        assert p.shape == x.shape
+        for n, idx in itertools.product(range(3), np.ndindex(3, 2, 1, 4)):
+            xm = x[n][(...,) + idx]
+            ref = (xm.T if transposed else xm) @ y[n][(...,) + idx]
+            assert np.max(np.abs(p[n][(...,) + idx] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_mul_is_bitwise_the_entrywise_formula():
     rng = np.random.default_rng(13)
-    x, y = random_stack(rng, (5, 3)), random_stack(rng, (5, 3))
-    p = al.mul(x, y)
-    for r in (0, 1):
-        for c in (0, 1):
-            entry = x[r, 0] * y[0, c] + x[r, 1] * y[1, c]
-            assert np.array_equal(p[r, c], entry)
+    x, y = random_stack(rng, (2,), (5, 3, 1, 2)), random_stack(rng, (2,), (5, 3, 1, 2))
+    for left in (x, x.swapaxes(-6, -5)):
+        p = al.mul(left, y)
+        for r in (0, 1):
+            for c in (0, 1):
+                entry = left[:, r, 0] * y[:, 0, c] + left[:, r, 1] * y[:, 1, c]
+                assert np.array_equal(p[:, r, c], entry)
 
 
 def test_mul_broadcasts_one_matrix_against_a_stack():
     rng = np.random.default_rng(14)
-    m, stack = random_stack(rng, ()), random_stack(rng, (4, 3))
-    left, right = al.mul(m[..., None, None], stack), al.mul(stack, m[..., None, None])
-    assert left.shape == right.shape == (2, 2, 4, 3)
-    for idx in np.ndindex(4, 3):
-        assert np.array_equal(left[(...,) + idx], al.mul(m, stack[(...,) + idx]))
-        assert np.array_equal(right[(...,) + idx], al.mul(stack[(...,) + idx], m))
+    m, stack = random_stack(rng, (), (1, 1, 1, 1)), random_stack(rng, (2,), (4, 3, 1, 2))
+    left, right = al.mul(m, stack), al.mul(stack, m)
+    assert left.shape == right.shape == (2, 2, 2, 4, 3, 1, 2)
+    for n, idx in itertools.product(range(2), np.ndindex(4, 3, 1, 2)):
+        site = (...,) + tuple(slice(k, k + 1) for k in idx)
+        assert np.array_equal(left[n][site], al.mul(m, stack[n][site]))
+        assert np.array_equal(right[n][site], al.mul(stack[n][site], m))
 
 
 def test_mul_returns_a_fresh_array():
     rng = np.random.default_rng(15)
-    x, y = random_stack(rng, (2,)), random_stack(rng, (2,))
+    x, y = random_stack(rng, (2,), (2, 1, 1, 1)), random_stack(rng, (2,), (2, 1, 1, 1))
     x0, y0 = x.copy(), y.copy()
-    p = al.mul(x, y)
-    p[...] = 0
-    assert np.array_equal(x, x0) and np.array_equal(y, y0)
-    assert not np.shares_memory(p, x) and not np.shares_memory(p, y)
+    for left in (x, x.swapaxes(-6, -5)):
+        p = al.mul(left, y)
+        p[...] = 0
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        assert not np.shares_memory(p, x) and not np.shares_memory(p, y)
 
 
 def test_expm_traceless():

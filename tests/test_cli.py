@@ -100,6 +100,18 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert "--matrix" in err
 
 
+def test_gen_refuses_matrix_unless_the_kind_is_constant(tmp_path, capsys):
+    # a matrix was ignored, malformed or not, by the other kinds
+    out = tmp_path / "x.field"
+    for kind in ("random", "zero", "pure-gauge"):
+        for matrix in ("1,2", "0,-0.5,0,0,0,0,0,0.5"):
+            code, _, err = run(capsys, "gen", "--kind", kind, "--dims", "2,2,2,2",
+                               "--matrix", matrix, "-o", str(out))
+            assert code == 2, (kind, matrix)
+            assert err.startswith("error: ") and "--matrix" in err
+            assert not out.exists()
+
+
 def test_gen_scale_must_be_finite_with_finite_width(tmp_path, capsys):
     # 1e308 is finite, but the draw interval [-scale, scale] is not
     out = tmp_path / "a.field"

@@ -12,7 +12,7 @@ from oracle import (
     shift_up,
     wrap,
 )
-from sdlattice.algebra import basis, identity, is_su2, mul, random_group, sl2c_coefficients
+from sdlattice.algebra import basis, identity, is_su2, random_group, sl2c_coefficients
 from sdlattice.cochain import PLANES, GaugeField
 from sdlattice.curvature import (
     constant_connection,
@@ -27,16 +27,22 @@ from sdlattice.duality import synthetic_dual_curvature
 from sdlattice.lattice import Window
 
 
+def entrywise(x, y):
+    """The 2x2 product x y by the entrywise formula of `mul`, entry (r, c) =
+    x_r0 y_0c + x_r1 y_1c, for one pair of matrices."""
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+
+
 def eval_plane(conn, k, i, j):
     """Sitewise curvature component, product order exactly as in curvature().
 
-    The products use the kernel's 2x2 product `mul`, so the comparison with
-    curvature() can stay bitwise."""
+    The products use the entrywise formula of the kernel's 2x2 product
+    `mul`, so the comparison with curvature() can stay bitwise."""
     ai = at(conn, k, i)
     aj = at(conn, k, j)
     aj_up = at(conn, shift_up(k, i), j)
     ai_up = at(conn, shift_up(k, j), i)
-    return (aj_up - aj) - (ai_up - ai) + mul(ai, aj_up) - mul(aj, ai_up)
+    return (aj_up - aj) - (ai_up - ai) + entrywise(ai, aj_up) - entrywise(aj, ai_up)
 
 
 def test_zero_connection_has_zero_curvature():

@@ -23,7 +23,7 @@ from sdlattice.curvature import curvature, random_connection
 from sdlattice.duality import DualityProblem, residual, residual_componentwise
 from sdlattice.hodge import star
 from sdlattice.lattice import Window
-from sdlattice.solver import SolveConfig, gradient_coefficients, objective, solve
+from sdlattice.solver import SolveConfig, _line_residuals, gradient_coefficients, objective, solve
 
 JOIN_TIMEOUT_S = 120
 
@@ -75,16 +75,20 @@ def slab_pool(monkeypatch):
 
 def kernel_outputs(w, kind):
     conn = random_connection(w, kind, seed=sum(w.dims), scale=0.8)
+    step = random_connection(w, kind, seed=sum(w.dims) + 1, scale=0.3)
     f = curvature(conn)
     out = {"curvature": f.buf}
     for p in ALL_PROBLEMS:
         name = f"{p.metric}-{p.orientation}"
         out["star " + name] = star(f, p.metric).buf
-        out["residual " + name] = residual(f, p).buf
+        res = residual(f, p)
+        out["residual " + name] = res.buf
         out["residual_componentwise " + name] = residual_componentwise(conn, p).buf
         if w.boundary == "periodic":
             out["objective " + name] = np.float64(objective(conn, p))
             out["gradient_coefficients " + name] = gradient_coefficients(conn, p)
+            out["line_residuals r1 " + name], out["line_residuals r2 " + name] = (
+                _line_residuals(conn, step, res, p))
     return out
 
 
@@ -114,26 +118,32 @@ def test_multi_slab_kernels_are_bitwise_equal_to_one_slab(slab_sites, dims, kind
 
 @pytest.mark.parametrize("dims, kind, metric, orientation", [
     ((3, 3, 3, 3), "su2", "euclid", "self_dual"), ((2, 2, 2, 2), "sl2c", "mink", "anti_self_dual")])
-def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, dims, kind, metric, orientation):
+def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, slab_pool, dims, kind, metric,
+                                                        orientation):
     # six planes at once (the default on these windows) against one, the
-    # preconditioner's kernel-built symbol included
+    # preconditioner's kernel-built symbol included, on one slab and then
+    # with every row its own slab, run on a pool of two workers
     conn0 = random_connection(Window(dims, "periodic"), kind, seed=0, scale=1e-2)
     cfg = SolveConfig(DualityProblem(metric, orientation), max_iter=200)
     solver = sys.modules["sdlattice.solver"]
+    row = math.prod(dims[1:])
     results = []
-    for slab, height in ((cochain.SLAB_SITES, 6), (math.prod(dims), 1)):
+    for slab, height, rows in ((cochain.SLAB_SITES, 6, [None]), (math.prod(dims), 1, [None]),
+                               (row, 1, [(n, n + 1) for n in range(dims[0])])):
         slab_sites(slab)
-        assert cochain._slabs(dims) == ((None, ...),)
+        slab_pool(2 if len(rows) > 1 else None)
+        assert [r for r, _ in cochain._slabs(dims)] == rows
         assert cochain._plane_groups(dims)[0] == slice(0, height)
         solver._preconditioner.cache_clear()
         results.append(solve(conn0, cfg))
-    (six, six_report), (one, one_report) = results
+    six, six_report = results[0]
     assert six_report.converged
-    assert one.buf.tobytes() == six.buf.tobytes()
-    reports = [dataclasses.asdict(r) for r in (six_report, one_report)]
+    reports = [dataclasses.asdict(report) for _, report in results]
     for report in reports:
         del report["wall_s"]
-    assert reports[0] == reports[1]
+    for (conn, _), report in zip(results[1:], reports[1:]):
+        assert conn.buf.tobytes() == six.buf.tobytes()
+        assert report == reports[0]
 
 
 @pytest.mark.parametrize("boundary, fill", [
