@@ -86,6 +86,13 @@ def _check_metric(field, metric: str, path) -> None:
 def cmd_gen(args) -> int:
     if args.matrix is not None and args.kind != "constant":
         raise UsageError(f"--matrix is for --kind constant only, not --kind {args.kind}")
+    draws = args.kind == "random" or args.kind == "constant" and args.matrix is None
+    for flag, value, used in (("--seed", args.seed, draws or args.kind == "pure-gauge"),
+                              ("--scale", args.scale, draws)):
+        if value is not None and not used:
+            raise UsageError(f"{flag} is not used by --kind {args.kind}"
+                             + (" with --matrix" if args.matrix is not None else ""))
+    seed, scale = args.seed or 0, 1.0 if args.scale is None else args.scale
     window = _parse_window(args)
     if args.kind == "zero":
         field = zero_connection(window, args.algebra)
@@ -95,12 +102,12 @@ def cmd_gen(args) -> int:
             if not MEMBERSHIP[args.algebra](matrix):
                 raise UsageError(f"--matrix is not an element of {args.algebra}")
         else:
-            matrix = random_algebra(args.seed, args.algebra, args.scale)
+            matrix = random_algebra(seed, args.algebra, scale)
         field = constant_connection(window, matrix, args.algebra)
     elif args.kind == "random":
-        field = random_connection(window, args.algebra, args.seed, args.scale)
+        field = random_connection(window, args.algebra, seed, scale)
     elif args.kind == "pure-gauge":
-        field = pure_gauge(random_gauge(window, args.algebra, args.seed))
+        field = pure_gauge(random_gauge(window, args.algebra, seed))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"--kind: unknown kind {args.kind!r}")
     save(field, args.output)
@@ -199,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="window dims N1,N2,N3,N4")
     p.add_argument("--boundary", default="periodic", choices=["periodic", "zero"])
     p.add_argument("--algebra", default="su2", choices=["su2", "sl2c"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--seed", type=int, help="random, pure-gauge, constant without --matrix (default 0)")
+    p.add_argument("--scale", type=float, help="random, constant without --matrix (default 1.0)")
     p.add_argument("--matrix", help="constant kind: 8 reals re,im per entry, row-major")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)

@@ -18,9 +18,10 @@ with slots= it reads a stack of slots, each at its own offsets, in one call.
 Every kernel is the body of one tile, which `_for_tiles` calls for each
 slab of first-axis rows (`_slabs`) and each group of planes
 (`_plane_groups`: 6 on 2^4-3^4, 3 on 4^4, 1 from 5^4 on), each term of a
-tile one numpy call; slabs run on a pool of one thread per usable CPU
-(`_for_slabs`), and results are bitwise the same for any slab size, group
-and thread count.
+tile one numpy call; the slabs of a window run on threads that each
+`_for_slabs` call starts and joins, one per usable CPU and at most one per
+slab, and results are bitwise the same for any slab size, group and thread
+count.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import functools
 import numbers
 import operator
 import os
-import threading
 
 import numpy as np
 
@@ -184,39 +184,25 @@ def _plane_groups(dims: tuple) -> tuple:
     return tuple(slice(lo, lo + height) for lo in range(0, 6, height))
 
 
-_worker = threading.local()  # .busy is set in the threads of the slab pool
-_pool_lock = threading.Lock()
-
-
-@functools.cache
-def _pool():
-    """The slab pool, one thread per CPU this process may use, or None on one
-    CPU; made at the first multi-slab call (concurrent.futures takes 7-9 ms to import)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        return ThreadPoolExecutor(cpus, initializer=setattr, initargs=(_worker, "busy", True))
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _for_slabs(dims: tuple, body) -> None:
-    """body(rows, index) for every slab of `_slabs(dims)`: inline for one slab,
-    on one CPU or in a pool thread, else on the pool, where every slab ends
-    before the first slab's exception, if any, is raised."""
+    """body(rows, index) for every slab of `_slabs(dims)`: inline for one slab
+    or on one usable CPU, else on threads this call starts, one per usable CPU
+    and at most one per slab, all joined before the first slab's exception,
+    if any, is raised."""
     slabs = _slabs(dims)
-    with _pool_lock:
-        pool = _pool() if len(slabs) > 1 and not getattr(_worker, "busy", False) else None
-    if pool is None:
+    threads = 1
+    if len(slabs) > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = min(cpus, len(slabs))
+    if threads == 1:
         for rows, index in slabs:
             body(rows, index)
         return
-    futures = [pool.submit(body, rows, index) for rows, index in slabs]
-    for error in [future.exception() for future in futures]:
-        if error is not None:
-            raise error
+    from concurrent.futures import ThreadPoolExecutor  # 7-9 ms to import, for multi-slab windows only
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(body, rows, index) for rows, index in slabs]
+    for future in futures:
+        future.result()
 
 
 def _for_tiles(dims: tuple, body) -> None:

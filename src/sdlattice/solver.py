@@ -352,7 +352,7 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
         out -= mul(dj, di_up_j)
     _for_tiles(w.dims, product)
     r2 = residual(products, problem).buf
-    r1 = _objective_and_residual(conn + step, problem)[1].buf - res.buf
+    r1 = residual(curvature(conn + step), problem).buf - res.buf
     r1 -= r2
     return r1, r2
 

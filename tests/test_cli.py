@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdlattice.cli import main
-from sdlattice.cochain import ConnectionField, CurvatureField
+from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import random_connection
 from sdlattice.fieldio import load, save
 from sdlattice.lattice import Window
@@ -94,10 +94,11 @@ def test_gen_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--kind", "zero", "--dims", "4,4,4", "-o", str(p))
     assert code == 2
     assert "--dims" in err
-    code, _, err = run(capsys, "gen", "--kind", "constant", "--dims", "2,2,2,2",
-                       "--matrix", "1,2,3", "-o", str(p))
-    assert code == 2
-    assert "--matrix" in err
+    for matrix in ("1,2,3", "0,x,0,0,0,0,0,0"):
+        code, _, err = run(capsys, "gen", "--kind", "constant", "--dims", "2,2,2,2",
+                           "--matrix", matrix, "-o", str(p))
+        assert code == 2, matrix
+        assert "--matrix" in err
 
 
 def test_gen_refuses_matrix_unless_the_kind_is_constant(tmp_path, capsys):
@@ -110,6 +111,27 @@ def test_gen_refuses_matrix_unless_the_kind_is_constant(tmp_path, capsys):
             assert code == 2, (kind, matrix)
             assert err.startswith("error: ") and "--matrix" in err
             assert not out.exists()
+
+
+def test_gen_refuses_seed_and_scale_that_the_kind_does_not_use(tmp_path, capsys):
+    # each of these used to exit 0 and write a field that ignored the flag
+    out = tmp_path / "x.field"
+    matrix = ["--matrix", "0,-0.5,0,0,0,0,0,0.5"]
+    for kind, extra, flag in (("zero", ["--scale", "nan"], "--scale"),
+                              ("zero", ["--seed", "9"], "--seed"),
+                              ("zero", ["--seed", "0", "--scale", "1"], "--seed"),
+                              ("pure-gauge", ["--scale", "-5"], "--scale"),
+                              ("pure-gauge", ["--seed", "1", "--scale", "1"], "--scale"),
+                              ("constant", matrix + ["--scale", "nan", "--seed", "3"], "--seed"),
+                              ("constant", matrix + ["--scale", "0.5"], "--scale")):
+        code, _, err = run(capsys, "gen", "--kind", kind, "--dims", "1,1,1,1", *extra, "-o", str(out))
+        assert code == 2, (kind, extra)
+        assert err.startswith("error: ") and flag in err, (kind, extra)
+        assert not out.exists()
+    for kind, extra in (("random", ["--seed", "3", "--scale", "0.5"]), ("pure-gauge", ["--seed", "3"]),
+                        ("constant", ["--seed", "3", "--scale", "0.5"]), ("constant", matrix),
+                        ("zero", [])):
+        assert run(capsys, "gen", "--kind", kind, "--dims", "1,1,1,1", *extra, "-o", str(out))[0] == 0
 
 
 def test_gen_scale_must_be_finite_with_finite_width(tmp_path, capsys):
@@ -175,6 +197,14 @@ def test_star_writes_output_and_respects_metric(tmp_path, capsys):
                        "-o", str(tmp_path / "sff.field"))
     assert code == 2
     assert "metric" in err
+
+
+def test_residual_refuses_a_gauge_field(tmp_path, capsys):
+    g = tmp_path / "g.field"
+    save(GaugeField.identity(Window((2, 2, 2, 2))), g)
+    code, _, err = run(capsys, "residual", "--metric", "euclid", "--dual", "sd", str(g))
+    assert code == 2
+    assert "residual needs a rank-1 or rank-2 field" in err
 
 
 def test_residual_writes_optional_output(tmp_path, capsys):

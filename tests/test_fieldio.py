@@ -230,6 +230,10 @@ def test_non_numeric_data_rejected(tmp_path):
     doc["data"] = [[1.0, 2.0, 3.0]] * (len(doc["data"]))
     with pytest.raises(FieldFormatError):
         load(_write(tmp_path, doc))
+    for data in ({"0": [1.0, 2.0]}, "1,2", 1.0, None):
+        doc["data"] = data
+        with pytest.raises(FieldFormatError, match="data must be a list"):
+            load(_write(tmp_path, doc))
 
 
 def test_malformed_json_is_a_format_error(tmp_path):

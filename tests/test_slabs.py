@@ -1,7 +1,8 @@
 """The whole-field kernels give the same bits whether a window is swept as
 one slab of the first site axis or as several (`cochain._slabs`), whatever
 number of planes they take at once (`cochain._plane_groups`), and whether
-the slabs run inline or on a thread pool (`cochain._for_slabs`)."""
+the slabs run inline or on threads that each call starts and joins
+(`cochain._for_slabs`)."""
 from __future__ import annotations
 
 import dataclasses
@@ -11,6 +12,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,27 +52,17 @@ def slab_sites(monkeypatch):
 
 
 @pytest.fixture
-def slab_pool(monkeypatch):
-    """Set the pool the kernels' slabs run on: "cpus" keeps the module's own
-    pool (none on one CPU), None runs every slab inline and a number makes a
-    pool of that many workers, shut down after the test."""
-    own, made = cochain._pool, []
+def slab_cpus(monkeypatch):
+    """Set the CPUs the process may use, as `cochain._for_slabs` reads them:
+    "cpus" keeps the usable ones, None leaves one, so that every slab runs
+    inline, and a number n gives n."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set(range(os.cpu_count() or 1))
 
-    def set_pool(workers):
-        if workers == "cpus":
-            monkeypatch.setattr(cochain, "_pool", own)
-            return own()
-        pool = None
-        if workers is not None:
-            pool = ThreadPoolExecutor(workers, initializer=setattr,
-                                      initargs=(cochain._worker, "busy", True))
-            made.append(pool)
-        monkeypatch.setattr(cochain, "_pool", lambda: pool)
-        return pool
+    def set_cpus(cpus):
+        chosen = usable if cpus == "cpus" else set(range(cpus or 1))
+        monkeypatch.setattr(cochain.os, "sched_getaffinity", lambda pid: chosen, raising=False)
 
-    yield set_pool
-    for pool in made:  # a stalled worker must not stall the teardown
-        pool.shutdown(wait=False, cancel_futures=True)
+    return set_cpus
 
 
 def kernel_outputs(w, kind):
@@ -118,11 +110,11 @@ def test_multi_slab_kernels_are_bitwise_equal_to_one_slab(slab_sites, dims, kind
 
 @pytest.mark.parametrize("dims, kind, metric, orientation", [
     ((3, 3, 3, 3), "su2", "euclid", "self_dual"), ((2, 2, 2, 2), "sl2c", "mink", "anti_self_dual")])
-def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, slab_pool, dims, kind, metric,
+def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, slab_cpus, dims, kind, metric,
                                                         orientation):
     # six planes at once (the default on these windows) against one, the
     # preconditioner's kernel-built symbol included, on one slab and then
-    # with every row its own slab, run on a pool of two workers
+    # with every row its own slab, run on two threads
     conn0 = random_connection(Window(dims, "periodic"), kind, seed=0, scale=1e-2)
     cfg = SolveConfig(DualityProblem(metric, orientation), max_iter=200)
     solver = sys.modules["sdlattice.solver"]
@@ -131,7 +123,7 @@ def test_a_seeded_solve_is_the_same_one_plane_at_a_time(slab_sites, slab_pool, d
     for slab, height, rows in ((cochain.SLAB_SITES, 6, [None]), (math.prod(dims), 1, [None]),
                                (row, 1, [(n, n + 1) for n in range(dims[0])])):
         slab_sites(slab)
-        slab_pool(2 if len(rows) > 1 else None)
+        slab_cpus(2 if len(rows) > 1 else None)
         assert [r for r, _ in cochain._slabs(dims)] == rows
         assert cochain._plane_groups(dims)[0] == slice(0, height)
         solver._preconditioner.cache_clear()
@@ -233,16 +225,6 @@ def test_shifted_read_takes_rows_as_a_list_or_a_tuple_of_integers():
             shifted_read(data, w, (1, 0, 0, 1), rows=rows)
 
 
-def test_the_pool_has_one_worker_per_usable_cpu(monkeypatch):
-    # making an executor starts no thread; threads start at the first submit
-    monkeypatch.setattr(cochain.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cochain._pool.__wrapped__() is None
-    monkeypatch.setattr(cochain.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    pool = cochain._pool.__wrapped__()
-    assert pool._max_workers == 3
-    pool.shutdown()
-
-
 # A (5, 6, 6, 8) window of 2-row slabs: rows [0, 2), [2, 4), [4, 5).  A slab
 # holds 576 sites, enough for numpy to release the interpreter lock.
 SLABBED = (5, 6, 6, 8)
@@ -260,7 +242,7 @@ def kernel_bits(case):
 
 
 @pytest.fixture
-def slabbed(slab_sites, slab_pool):
+def slabbed(slab_sites, slab_cpus):
     """Connections and problems on SLABBED, swept in 2-row slabs, and each
     kernel's bytes from inline slabs."""
     slab_sites(2 * 6 * 6 * 8)
@@ -268,15 +250,15 @@ def slabbed(slab_sites, slab_pool):
     w = Window(SLABBED, "periodic")
     cases = [(random_connection(w, kind, seed=9, scale=0.8), DualityProblem(metric, "self_dual"))
              for kind, metric in (("su2", "euclid"), ("sl2c", "mink"))]
-    slab_pool(None)
+    slab_cpus(None)
     serial = [kernel_bits(case) for case in cases]
     return cases, serial
 
 
 @pytest.mark.parametrize("workers", ["cpus", 4])
-def test_pooled_kernels_repeat_the_inline_bits(slabbed, slab_pool, workers):
+def test_pooled_kernels_repeat_the_inline_bits(slabbed, slab_cpus, workers):
     cases, serial = slabbed
-    slab_pool(workers)
+    slab_cpus(workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -292,10 +274,10 @@ class SlabFailure(Exception):
 
 
 @pytest.mark.parametrize("workers", ["cpus", 4])
-def test_a_failing_slab_raises_from_the_kernel(slabbed, slab_pool, monkeypatch, workers):
+def test_a_failing_slab_raises_from_the_kernel(slabbed, slab_cpus, monkeypatch, workers):
     # every kernel reads through shifted_read; the read fails on the middle slab only
     cases, serial = slabbed
-    slab_pool(workers)
+    slab_cpus(workers)
 
     def failing(*args, rows=None, **kwargs):
         if rows == (2, 4):
@@ -317,9 +299,38 @@ def test_a_failing_slab_raises_from_the_kernel(slabbed, slab_pool, monkeypatch, 
     assert kernel_bits(cases[1]) == serial[1]
 
 
-def test_kernels_from_two_threads_and_from_a_worker_give_the_inline_bits(slabbed, slab_pool):
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_call_runs_its_slabs_on_threads_it_joins(slabbed, slab_cpus, monkeypatch, cpus):
+    # three slabs on min(cpus, 3) threads, or inline on one CPU; every read
+    # sleeps, so that no slab ends before the last is submitted (an executor
+    # hands work to an idle thread before it starts one)
     cases, serial = slabbed
-    pool = slab_pool(4)
+    slab_cpus(cpus)
+    ran = {}
+
+    def recording(*args, rows=None, **kwargs):
+        ran.setdefault(rows, set()).add(threading.current_thread())
+        time.sleep(0.01)
+        return shifted_read(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(sys.modules["sdlattice.curvature"], "shifted_read", recording)
+    f = curvature(cases[0][0])
+    assert sorted(ran) == [(0, 2), (2, 4), (4, 5)]
+    assert all(len(threads) == 1 for threads in ran.values())
+    threads = set().union(*ran.values())
+    if cpus == 1:
+        assert threads == {threading.current_thread()}
+    else:
+        assert len(threads) == min(cpus, 3)
+        assert threading.current_thread() not in threads
+        assert not any(thread.is_alive() for thread in threads)
+    assert f.buf.tobytes() == serial[0]["curvature"]
+
+
+def test_kernels_from_two_threads_and_from_a_worker_give_the_inline_bits(slabbed, slab_cpus):
+    cases, serial = slabbed
+    slab_cpus(4)
+    pool = ThreadPoolExecutor(4)
     results = {}
 
     def call(key, case):
@@ -334,21 +345,22 @@ def test_kernels_from_two_threads_and_from_a_worker_give_the_inline_bits(slabbed
         for caller in callers:
             caller.join(JOIN_TIMEOUT_S)
             assert not caller.is_alive()
-        # a worker's own kernel calls run their slabs inline, so a full pool cannot stall them
+        # kernels called from the threads of a busy executor start threads of their own
         inside = [pool.submit(call, ("worker", n), case) for n, case in enumerate(cases) for _ in range(4)]
         for future in inside:
             future.result(JOIN_TIMEOUT_S)
     finally:
         sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)  # a stalled worker must not stall the test
     assert [results[n] for n in range(2)] == serial
     assert [results["worker", n] for n in range(2)] == serial
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_runs_its_slabs_on_a_pool_of_its_own(slabbed, slab_pool):
-    # the child inherits the parent's pool object but none of its threads
+def test_a_forked_child_runs_its_slabs_on_a_pool_of_its_own(slabbed, slab_cpus):
+    # the child inherits none of the parent's threads
     cases, serial = slabbed
-    slab_pool("cpus")
+    slab_cpus("cpus")
     assert kernel_bits(cases[0]) == serial[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process

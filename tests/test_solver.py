@@ -482,7 +482,7 @@ def test_solve_small_perturbation_converges():
 
 
 def test_solve_reports_evaluation_counts(monkeypatch):
-    calls = {"objective": 0, "gradient": 0}
+    calls = {"objective": 0, "line": 0, "gradient": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -492,15 +492,18 @@ def test_solve_reports_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(solver, "_objective_and_residual",
                         counted("objective", solver._objective_and_residual))
+    monkeypatch.setattr(solver, "_line_residuals", counted("line", solver._line_residuals))
     monkeypatch.setattr(solver, "_gradient_matrices",
                         counted("gradient", solver._gradient_matrices))
     a0 = random_connection(Window((3, 3, 3, 3), "periodic"), "su2", seed=0, scale=1e-2)
     _, report = solve(a0, SolveConfig(EUCLID_SD, max_iter=1000, tol=1e-8))
     assert report.converged
-    # the start point, one evaluation at t = 1 per iteration and one
-    # recompute of the interpolated residual before the converged stop
+    # the start point, one evaluation at t = 1 per iteration (in the line
+    # search) and one recompute of the interpolated residual before the
+    # converged stop
     assert report.evaluations >= report.iterations + 1
-    assert report.evaluations == calls["objective"]
+    assert calls["line"] == report.iterations
+    assert report.evaluations == calls["objective"] + calls["line"]
     # one gradient at the start and one per accepted step but the last
     assert report.gradient_evaluations == report.iterations == calls["gradient"]
 
