@@ -15,6 +15,7 @@ whole-field operation is one contiguous sweep; their one site read,
 as `buf` or one of its slots, and copies blocks of one cached table: all
 of them on periodic windows, only the one inside the box on zero windows;
 with slots= it reads a stack of slots, each at its own offsets, in one call.
+On periodic windows of at most GATHER_SITES sites a read is one np.take.
 Every kernel is the body of one tile, which `_for_tiles` calls for each
 slab of first-axis rows (`_slabs`) and each group of planes
 (`_plane_groups`: 6 on 2^4-3^4, 3 on 4^4, 1 from 5^4 on), each term of a
@@ -40,6 +41,10 @@ PLANE_INDEX = {p: n for n, p in enumerate(PLANES)}
 
 ALGEBRA_KINDS = ("su2", "sl2c", "general")
 
+# Sites up to which a periodic read is one gather: on 2 vCPUs a star read took 3.5/5.1/6.3
+# us at 2^4/3^4/4^4 against 24.4/28.0/19.6 us as block copies; from 5^4 on it is mixed.
+GATHER_SITES = 256
+
 
 # Axis orders from a sites-last array to its dims-first view and back, by ndim.
 _TO_SITES_FIRST = {n: tuple(range(n - 4, n)) + tuple(range(n - 4)) for n in range(4, 8)}
@@ -60,12 +65,13 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     out[..., k] = data[..., k + offsets].
 
     The last four axes of `data` are the sites (`Field.buf`, or one of its
-    slots); any leading axes are carried along.  Both boundaries copy the
-    blocks of one cached table (`_blocks`): periodic windows copy every
-    block, so reads wrap; zero windows copy only the block that stays
-    inside the box, over `fill` (default zeros), a 2x2 matrix broadcast
-    over the sites.  rows=(lo, hi) reads first indices [lo, hi) only, into
-    `out` (not overlapping `data`) or a new array in the order of `data`.
+    slots); any leading axes are carried along.  Both boundaries follow one
+    cached block table (`_blocks`): periodic windows copy every block, so
+    reads wrap, or on at most GATHER_SITES sites take it as one cached
+    index for np.take unless `out` has another dtype; zero windows copy
+    the block inside the box over `fill` (default zeros), a 2x2 matrix
+    broadcast over the sites.  rows=(lo, hi) reads first indices [lo, hi)
+    only, into `out` (not overlapping `data`) or a new array.
     slots=(s_0, s_1, ...), a tuple or range, reads a stack in one call, with
     `offsets` a tuple of one offset tuple per slot: out[n] is slot s_n of
     `data` (its first axis) read at offsets[n].
@@ -85,12 +91,31 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
             rows = (operator.index(lo), operator.index(hi))
         except (TypeError, ValueError):
             raise ValueError(f"rows must be a pair of integers (lo, hi), got {rows!r}") from None
-    shape = data.shape if rows is None else data.shape[:-4] + (rows[1] - rows[0],) + data.shape[-3:]
+    offsets = tuple(offsets) if slots is None else offsets
     periodic = window.boundary == "periodic"
+    if periodic and window.n_sites <= GATHER_SITES and (out is None or out.dtype == data.dtype):
+        index = _gather_index(data.shape, offsets, rows, slots)
+        return np.take(data.reshape(-1), index, out=out, mode="wrap")
+    return _copy_blocks(data, periodic, offsets, fill, rows, out, slots)
+
+
+# 8 B per entry read: at most 96 KiB (4^4: 12 slots x 4 x 256 sites), 6 MiB in all.
+@functools.lru_cache(maxsize=64)
+def _gather_index(shape: tuple, offsets: tuple, rows, slots) -> np.ndarray:
+    """Read-only periodic read of the flat indices of C-ordered `shape` data."""
+    flat = np.arange(np.prod(shape), dtype=np.intp).reshape(shape)
+    index = _copy_blocks(flat, True, offsets, None, rows, None, slots)
+    index.flags.writeable = False
+    return index
+
+
+def _copy_blocks(data, periodic, offsets, fill, rows, out, slots):
+    """`shifted_read` as copies of the blocks of `_blocks` or `_stacked_blocks`."""
+    shape = data.shape if rows is None else data.shape[:-4] + (rows[1] - rows[0],) + data.shape[-3:]
     if slots is None:
-        blocks = _blocks(window.dims, tuple(offsets), rows)
+        blocks = _blocks(data.shape[-4:], offsets, rows)
     else:
-        blocks = _stacked_blocks(window.dims, slots, offsets, rows, len(data))
+        blocks = _stacked_blocks(data.shape[-4:], slots, offsets, rows, len(data))
         shape = (len(slots),) + shape[1:]
     if out is None:
         like = np.empty_like if periodic or fill is not None else np.zeros_like

@@ -19,8 +19,8 @@ Round-trips are bitwise exact, signed zeros included (Python's JSON float
 text is shortest round-trip decimal and writes -0.0 as `-0.0`).  `save`
 builds the whole JSON text in memory before it opens the file, about 4 MB
 for an 8^4 curvature.  Data must be finite numbers: JSON has no NaN or
-Infinity, so `save` refuses such fields, and `load` refuses non-finite or
-boolean data entries.  `save` also refuses the labels `load` refuses.
+Infinity, so `save` refuses such fields; `load` refuses data entries that
+are not finite numbers, such as "1.5", true or null, and the labels `save` does.
 """
 from __future__ import annotations
 
@@ -124,11 +124,16 @@ def load(path) -> Field:
     try:
         pairs = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FieldFormatError(f"data entries must be numeric pairs: {exc}") from exc
+        raise FieldFormatError(f"data entries must be numbers: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise FieldFormatError("data entries must be [re, im] pairs")
-    if not np.all(np.isfinite(pairs)):
-        raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
+    # "1.5" converts like 1.5 and null to NaN: look only if some entry is not finite, or if
+    # the text has more quote marks than two per key, boundary, algebra and metric string.
+    if not np.all(np.isfinite(pairs)) or text.count('"') > 2 * (len(doc) + 2 + bool(metric)):
+        if any(x is None or type(x) is str for pair in raw for x in pair):
+            raise FieldFormatError("data entries must be numbers, not strings or null")
+        if not np.all(np.isfinite(pairs)):
+            raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     # JSON true/false convert to 1.0/0.0, so only those entries need a look,
     # and only when the text holds such a token at all.
     if "true" in text or "false" in text:

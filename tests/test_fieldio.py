@@ -224,7 +224,7 @@ def test_boolean_data_entries_rejected(tmp_path):
 def test_non_numeric_data_rejected(tmp_path):
     doc = _doc(tmp_path)
     doc["data"][0] = ["x", "y"]
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(FieldFormatError, match="must be numbers"):
         load(_write(tmp_path, doc))
     doc = _doc(tmp_path)
     doc["data"] = [[1.0, 2.0, 3.0]] * (len(doc["data"]))
@@ -234,6 +234,32 @@ def test_non_numeric_data_rejected(tmp_path):
         doc["data"] = data
         with pytest.raises(FieldFormatError, match="data must be a list"):
             load(_write(tmp_path, doc))
+
+
+def test_string_and_null_data_entries_rejected(tmp_path):
+    # float() parses "1.5" and turns null into NaN, so these loaded as numbers
+    # or were refused as non-finite
+    for pair in (["1.5", "-0.25"], [0.5, "2"], ["nan", 0.0], [None, 0.0], [0.25, None]):
+        doc = _doc(tmp_path)
+        doc["data"][7] = pair
+        with pytest.raises(FieldFormatError, match="must be numbers, not strings or null"):
+            load(_write(tmp_path, doc))
+
+
+def test_quoted_metadata_does_not_hide_or_fake_a_string_entry(tmp_path):
+    # quote marks count two per string, so escaped quotes in metadata, written
+    # as \" (one more mark each) or \u0022 (none), decide nothing alone
+    doc = _doc(tmp_path)
+    doc["note"] = ['say "hi"', {"k": None}]
+    text = json.dumps(doc)
+    path = tmp_path / "quoted.field"
+    for spelled in (text, text.replace('\\"', "\\u0022")):
+        path.write_text(spelled)
+        assert np.array_equal(load(path).data.reshape(-1).view(float), np.ravel(doc["data"]))
+    doc["data"][2] = [0.5, "1"]
+    path.write_text(json.dumps(doc).replace('\\"', "\\u0022"))
+    with pytest.raises(FieldFormatError, match="not strings"):
+        load(path)
 
 
 def test_malformed_json_is_a_format_error(tmp_path):

@@ -2,7 +2,8 @@
 one slab of the first site axis or as several (`cochain._slabs`), whatever
 number of planes they take at once (`cochain._plane_groups`), and whether
 the slabs run inline or on threads that each call starts and joins
-(`cochain._for_slabs`)."""
+(`cochain._for_slabs`), and whether a small periodic window reads by one
+gather or by block copies (`cochain.GATHER_SITES`)."""
 from __future__ import annotations
 
 import dataclasses
@@ -223,6 +224,82 @@ def test_shifted_read_takes_rows_as_a_list_or_a_tuple_of_integers():
     for rows in ((True, 2), (0, 2.0), (0.0, 2), "02", (0, 1, 2), 2):
         with pytest.raises(ValueError, match="rows"):
             shifted_read(data, w, (1, 0, 0, 1), rows=rows)
+
+
+def gathers():
+    """Gathered reads so far: calls of the cached gather index."""
+    info = cochain._gather_index.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (1, 2, 3, 4),
+                                  (3, 3, 3, 3), (3, 4, 2, 5), (4, 4, 4, 4)])
+def test_gathered_kernels_are_bitwise_the_block_copies(monkeypatch, dims, kind):
+    # periodic windows of at most GATHER_SITES sites read by one gather; a
+    # cutoff of 0 sends the same reads through the block copies
+    w = Window(dims, "periodic")
+    before = gathers()
+    gathered = kernel_outputs(w, kind)
+    assert gathers() > before
+    monkeypatch.setattr(cochain, "GATHER_SITES", 0)
+    before = gathers()
+    copied = kernel_outputs(w, kind)
+    assert gathers() == before
+    assert copied.keys() == gathered.keys()
+    for name, value in gathered.items():
+        assert value.tobytes() == copied[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 2, 5), (2, 2, 2, 1)])
+def test_a_gathered_read_is_bitwise_the_block_copy(monkeypatch, dims):
+    # plain, stacked and row-cut reads of contiguous and strided data, at
+    # offsets up to three window lengths either way, into a new array, a
+    # contiguous out= and a strided out=
+    w = Window(dims, "periodic")
+    rng = np.random.default_rng(8)
+
+    def draw(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    buf = draw((6, 2, 2) + dims)
+    spread = draw((6, 2, 2) + dims[:3] + (3 * dims[3],))[..., ::3]
+    n = np.array(dims)
+    offsets = [tuple(map(int, rng.integers(-3 * n, 3 * n + 1))) for _ in range(6)]
+    offsets += [(0, 0, 0, 0), tuple(map(int, n)), tuple(map(int, -2 * n - 1))]
+    reads = [(data, off, {"rows": rows})
+             for data in (buf, buf[4], buf[2, 1, 0], buf.transpose(0, 2, 1, 3, 4, 5, 6), spread)
+             for off in offsets for rows in (None, (dims[0] - 1, dims[0]))]
+    reads += [(data, tuple(offsets[:5]), {"rows": rows, "slots": slots})
+              for data, slots in ((buf, (0, 3, 3, 5, 1)), (spread, range(1, 6)))
+              for rows in (None, (1, dims[0]))]
+    cutoff = cochain.GATHER_SITES
+    for data, off, kwargs in reads:
+        monkeypatch.setattr(cochain, "GATHER_SITES", 0)
+        copied = shifted_read(data, w, off, **kwargs).tobytes()
+        monkeypatch.setattr(cochain, "GATHER_SITES", cutoff)
+        before = gathers()
+        gathered = shifted_read(data, w, off, **kwargs)
+        assert gathers() == before + 1
+        into = np.full_like(gathered, np.nan)
+        strided = np.full(gathered.shape[:-1] + (2 * dims[3],), np.nan + 0j)[..., ::2]
+        for out in (into, strided):
+            assert shifted_read(data, w, off, out=out, **kwargs) is out
+        for read in (gathered, into, strided):
+            assert read.tobytes() == copied, (off, kwargs)
+
+
+def test_zero_large_and_other_dtype_reads_keep_the_block_copies():
+    # a zero window, a periodic window of more than GATHER_SITES sites, and
+    # real data read into a complex out=, which np.take would refuse
+    before = gathers()
+    for dims, boundary in (((2, 2, 2, 2), "zero"), ((4, 4, 4, 5), "periodic")):
+        data = random_connection(Window(dims, boundary), "su2", seed=1).buf
+        shifted_read(data, Window(dims, boundary), (1, 0, 0, 0))
+    real = np.arange(16.0).reshape(2, 2, 2, 2)
+    out = np.empty((2, 2, 2, 2), dtype=complex)
+    assert shifted_read(real, Window((2, 2, 2, 2)), (1, 0, 0, 0), out=out) is out
+    assert gathers() == before
+    assert np.array_equal(out, np.roll(real, -1, axis=0))
 
 
 # A (5, 6, 6, 8) window of 2-row slabs: rows [0, 2), [2, 4), [4, 5).  A slab

@@ -279,6 +279,39 @@ def test_hessian_symbol_from_a_small_window_is_bitwise_the_full_window_one(kind,
         assert symbol.tobytes() == full_window_symbol(dims, problem, kind).tobytes(), dims
 
 
+# Momenta p != 0 at which the sl2c/mink symbol has a null direction beyond the
+# gauge one; on (2,3,5,7), whose dims are pairwise coprime, the only diagonal
+# momentum is 0
+MINK_EXTRA_NULL_MOMENTA = {(2, 2, 2, 2): 3, (3, 3, 3, 3): 6, (4, 4, 4, 4): 15, (4, 4, 2, 2): 5,
+                           (2, 3, 5, 7): 0}
+
+
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: f"{p.metric}-{p.orientation}")
+@pytest.mark.parametrize("dims", list(MINK_EXTRA_NULL_MOMENTA))
+def test_hessian_symbol_null_space_counts(kind, problem, dims):
+    # per momentum p, the Hessian at A = 0 vanishes on the four constants at
+    # p = 0 and on the gauge direction (e^{ip_j} - 1)_j elsewhere; only
+    # sl2c/mink has one more null direction, at some diagonal momenta
+    # (sum_j k_j / N_j an integer), the modes the diagonal shift leaves fixed.
+    # Null eigenvalues are at most 4.2e-16 of the top, the rest at least 3.6e-4.
+    symbol = solver._hessian_symbol(dims, problem, kind)
+    eig = np.linalg.eigvalsh(symbol)
+    top = eig.max()
+    null = eig < 1e-10 * top
+    assert np.abs(eig[null]).max() <= 1e-14 * top
+    assert eig[~null].min() >= 1e-4 * top
+    counts = null.sum(axis=-1)
+    k = np.stack(np.meshgrid(*map(np.arange, dims), indexing="ij"), axis=-1)
+    gauge = np.exp(2j * np.pi * k / np.array(dims)) - 1
+    assert np.abs(np.einsum("...ab,...b->...a", symbol, gauge)).max() <= 1e-14 * top
+    extra = MINK_EXTRA_NULL_MOMENTA[dims] if (kind, problem.metric) == ("sl2c", "mink") else 0
+    assert counts.reshape(-1)[0] == 4
+    assert np.sort(counts.reshape(-1)[1:]).tolist() == [1] * (counts.size - 1 - extra) + [2] * extra
+    diagonal = (k / np.array(dims)).sum(axis=-1)
+    assert np.allclose(diagonal[counts == 2], np.round(diagonal[counts == 2]))
+
+
 @pytest.mark.parametrize("kind", ["su2", "sl2c"])
 @pytest.mark.parametrize("metric", ["euclid", "mink"])
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 1, 2)])
