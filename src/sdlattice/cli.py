@@ -165,12 +165,6 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     conn = _load(args.input, rank=1)
     _check_metric(conn, args.metric, args.input)
-    if conn.window.boundary != "periodic":
-        raise UsageError(f"{args.input}: solve requires a periodic window")
-    if conn.algebra not in ("su2", "sl2c"):
-        raise UsageError(
-            f"{args.input}: solve requires algebra su2 or sl2c, got {conn.algebra!r}"
-        )
     cfg = SolveConfig(
         problem=DualityProblem(args.metric, ORIENTATION_FLAG[args.dual]),
         max_iter=args.max_iter,

@@ -19,17 +19,20 @@ Round-trips are bitwise exact, signed zeros included (Python's JSON float
 text is shortest round-trip decimal and writes -0.0 as `-0.0`).  `save`
 builds the whole JSON text in memory before it opens the file, about 4 MB
 for an 8^4 curvature.  Data must be finite numbers: JSON has no NaN or
-Infinity, so `save` refuses such fields; `load` refuses data entries that
-are not finite numbers, such as "1.5", true or null, and the labels `save` does.
+Infinity, so `save` refuses such fields.  `load` checks dims and boundary
+by building the `Window`, refuses the labels `save` does, and refuses data
+unless every entry decodes to exactly int or float (numpy would convert
+"1.5", true and null) and is finite.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .cochain import ALGEBRA_KINDS, ConnectionField, CurvatureField, Field, GaugeField
-from .lattice import BOUNDARIES, METRICS, Window
+from .lattice import METRICS, Window
 
 FORMAT_VERSION = 1
 
@@ -77,11 +80,10 @@ def save(field: Field, path) -> None:
 
 
 def load(path) -> Field:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FieldFormatError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FieldFormatError("document root must be a JSON object")
@@ -94,18 +96,15 @@ def load(path) -> Field:
             f"format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )
     rank = _require(doc, "rank")
-    if not _is_int(rank) or rank not in _RANK_TO_CLASS:
+    if type(rank) is not int or rank not in _RANK_TO_CLASS:  # true decodes to a bool
         raise FieldFormatError(f"rank must be 0, 1 or 2, got {rank!r}")
-    dims = _require(doc, "dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 4
-        or not all(_is_int(n) and n > 0 for n in dims)
-    ):
-        raise FieldFormatError(f"dims must be four positive integers, got {dims!r}")
-    boundary = _require(doc, "boundary")
-    if boundary not in BOUNDARIES:
-        raise FieldFormatError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    dims, boundary = _require(doc, "dims"), _require(doc, "boundary")
+    try:
+        window = Window(dims, boundary)
+    except TypeError as exc:
+        raise FieldFormatError(f"dims must be a list, got {dims!r}") from exc
+    except ValueError as exc:
+        raise FieldFormatError(str(exc)) from exc
     metric = doc.get("metric")
     algebra = _require(doc, "algebra")
     _check_labels(metric, algebra)
@@ -114,8 +113,7 @@ def load(path) -> Field:
         raise FieldFormatError("data must be a list of [re, im] pairs")
 
     cls = _RANK_TO_CLASS[rank]
-    slots = cls.slots if cls.slots else 1
-    n_expected = dims[0] * dims[1] * dims[2] * dims[3] * slots * 4
+    n_expected = window.n_sites * (cls.slots or 1) * 4
     if len(raw) != n_expected:
         raise FieldShapeError(
             f"data length {len(raw)} does not match dims {dims} for rank {rank} "
@@ -123,29 +121,23 @@ def load(path) -> Field:
         )
     try:
         pairs = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FieldFormatError(f"data entries must be numbers: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise FieldFormatError("data entries must be [re, im] pairs")
-    # "1.5" converts like 1.5 and null to NaN: look only if some entry is not finite, or if
-    # the text has more quote marks than two per key, boundary, algebra and metric string.
-    if not np.all(np.isfinite(pairs)) or text.count('"') > 2 * (len(doc) + 2 + bool(metric)):
-        if any(x is None or type(x) is str for pair in raw for x in pair):
-            raise FieldFormatError("data entries must be numbers, not strings or null")
-        if not np.all(np.isfinite(pairs)):
-            raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
-    # JSON true/false convert to 1.0/0.0, so only those entries need a look,
-    # and only when the text holds such a token at all.
-    if "true" in text or "false" in text:
-        suspects = np.flatnonzero(((pairs == 0.0) | (pairs == 1.0)).any(axis=1)).tolist()
-        if any(type(x) is bool for i in suspects for x in raw[i]):
-            raise FieldFormatError("data entries must be numbers, not booleans")
+    # float() takes "1.5", true and false, and null becomes NaN: only the
+    # exact types int and float are numbers (bool subclasses int)
+    kinds = set(map(type, itertools.chain.from_iterable(raw)))
+    if bool in kinds:
+        raise FieldFormatError("data entries must be numbers, not booleans")
+    if not kinds <= {int, float}:
+        raise FieldFormatError("data entries must be numbers, not strings or null")
+    if not np.all(np.isfinite(pairs)):
+        raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     # A view keeps every bit; re + 1j*im can drop the sign of a zero part.
     values = pairs.view(complex)
-    shape = tuple(dims) + ((cls.slots, 2, 2) if cls.slots else (2, 2))
-    window = Window(tuple(dims), boundary)
-    field = cls(window, values.reshape(shape), algebra=algebra, metric=metric)
-    return field
+    shape = window.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
+    return cls(window, values.reshape(shape), algebra=algebra, metric=metric)
 
 
 def _check_labels(metric, algebra) -> None:
@@ -153,11 +145,6 @@ def _check_labels(metric, algebra) -> None:
         raise FieldFormatError(f"metric must be one of {METRICS} or null, got {metric!r}")
     if algebra not in ALGEBRA_KINDS:
         raise FieldFormatError(f"algebra must be one of {ALGEBRA_KINDS}, got {algebra!r}")
-
-
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which subclasses int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(doc: dict, key: str):

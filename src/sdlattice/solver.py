@@ -34,6 +34,9 @@ The curvature is quadratic in A, so along a direction d the residual is
 r0 + t r1 + t^2 r2 and R is a quartic in t (Nocedal & Wright, section 3.5
 on exact line searches): the step minimises it, and the gradient at the
 new point takes its interpolated residual instead of a new curvature.
+R is summed as one np.vdot(r, r).real of the residual r (a BLAS dot
+product, no field-sized temporaries), in `objective` as in the quartic's
+constant term, so the line search starts from R(A) bitwise.
 """
 from __future__ import annotations
 
@@ -127,7 +130,7 @@ def objective(conn: ConnectionField, problem: DualityProblem) -> float:
 
 def _objective_and_residual(conn: ConnectionField, problem: DualityProblem):
     res = residual(curvature(conn), problem)
-    return float(np.sum(np.abs(res.buf) ** 2)), res
+    return float(np.vdot(res.buf, res.buf).real), res
 
 
 def _real(z: np.ndarray, algebra_kind: str) -> np.ndarray:
@@ -138,7 +141,7 @@ def _real(z: np.ndarray, algebra_kind: str) -> np.ndarray:
     if algebra_kind == "sl2c":
         # out= keeps the coordinates C-order whatever the memory order of z
         return np.concatenate([z.real, z.imag], axis=-1, out=np.empty(z.shape[:-1] + (6,)))
-    raise ValueError("solver requires an su2 or sl2c connection")
+    raise ValueError(f"solver requires algebra su2 or sl2c, got {algebra_kind!r}")
 
 
 def _complex(x: np.ndarray, algebra_kind: str) -> np.ndarray:
@@ -148,7 +151,7 @@ def _complex(x: np.ndarray, algebra_kind: str) -> np.ndarray:
         return x
     if algebra_kind == "sl2c":
         return x[..., :3] + 1j * x[..., 3:]
-    raise ValueError("solver requires an su2 or sl2c connection")
+    raise ValueError(f"solver requires algebra su2 or sl2c, got {algebra_kind!r}")
 
 
 def connection_coefficients(conn: ConnectionField) -> np.ndarray:
@@ -170,6 +173,7 @@ def gradient_coefficients(conn: ConnectionField, problem: DualityProblem) -> np.
     Matches central finite differences of `objective` to relative error
     well below 1e-6 for step 1e-6.
     """
+    _require_periodic(conn.window)
     return _coefficient_gradient(_gradient_matrices(conn, problem), conn.algebra)
 
 
@@ -196,7 +200,6 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     dR = Re sum conj(G) dA entrywise.
 
     res, if given, is residual(curvature(conn), problem), reused as is."""
-    _require_periodic(conn.window)
     w = conn.window
     if res is None:
         res = residual(curvature(conn), problem)

@@ -297,6 +297,7 @@ def test_solve_rejects_zero_boundary_and_general_algebra(tmp_path, capsys):
                        str(a), "-o", str(tmp_path / "s.field"))
     assert code == 2
     assert "periodic" in err
+    assert not (tmp_path / "s.field").exists()
 
     pg = tmp_path / "pg.field"
     run(capsys, "gen", "--kind", "pure-gauge", "--dims", "2,2,2,2", "-o", str(pg))
@@ -304,6 +305,25 @@ def test_solve_rejects_zero_boundary_and_general_algebra(tmp_path, capsys):
                        str(pg), "-o", str(tmp_path / "s.field"))
     assert code == 2
     assert "algebra" in err
+    assert not (tmp_path / "s.field").exists()
+
+
+def test_undecodable_field_files_exit_2_and_write_nothing(tmp_path, capsys):
+    # a data entry too large for a float, and nesting too deep to decode
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "zero", "--dims", "1,1,1,1", "-o", str(a))
+    huge = tmp_path / "huge.field"
+    doc = json.loads(a.read_text())
+    doc["data"][0][0] = 10 ** 400
+    huge.write_text(json.dumps(doc))
+    deep = tmp_path / "deep.field"
+    deep.write_text("[" * 200_000)
+    for path, message in ((huge, "data entries must be numbers"), (deep, "not valid JSON")):
+        out = tmp_path / "out.field"
+        code, _, err = run(capsys, "curv", str(path), "-o", str(out))
+        assert code == 2, path
+        assert message in err
+        assert not out.exists()
 
 
 def test_solve_rejects_connections_outside_their_algebra(tmp_path, capsys):

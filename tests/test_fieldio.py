@@ -155,14 +155,21 @@ def test_dims_data_disagreement_is_a_shape_error(tmp_path):
 
 
 def test_bad_metadata_values(tmp_path):
-    bad = {
-        "rank": 3,
-        "dims": [2, 2, 2],
-        "boundary": "open",
-        "metric": "lorentz",
-        "algebra": "so3",
-    }
-    for key, value in bad.items():
+    bad = [
+        ("rank", 3),
+        ("dims", [2, 2, 2]),
+        ("dims", "2,2,2,2"),
+        ("dims", {"a": 1}),
+        ("dims", 4),
+        ("dims", None),
+        ("dims", [2.0, 2, 2, 2]),
+        ("boundary", "open"),
+        ("boundary", ["periodic"]),
+        ("boundary", None),
+        ("metric", "lorentz"),
+        ("algebra", "so3"),
+    ]
+    for key, value in bad:
         doc = _doc(tmp_path)
         doc[key] = value
         with pytest.raises(FieldFormatError, match=key):
@@ -222,10 +229,12 @@ def test_boolean_data_entries_rejected(tmp_path):
 
 
 def test_non_numeric_data_rejected(tmp_path):
-    doc = _doc(tmp_path)
-    doc["data"][0] = ["x", "y"]
-    with pytest.raises(FieldFormatError, match="must be numbers"):
-        load(_write(tmp_path, doc))
+    # float() of a 401-digit integer overflows
+    for pair in (["x", "y"], [10 ** 400, 0.0]):
+        doc = _doc(tmp_path)
+        doc["data"][0] = pair
+        with pytest.raises(FieldFormatError, match="must be numbers"):
+            load(_write(tmp_path, doc))
     doc = _doc(tmp_path)
     doc["data"] = [[1.0, 2.0, 3.0]] * (len(doc["data"]))
     with pytest.raises(FieldFormatError):
@@ -247,8 +256,8 @@ def test_string_and_null_data_entries_rejected(tmp_path):
 
 
 def test_quoted_metadata_does_not_hide_or_fake_a_string_entry(tmp_path):
-    # quote marks count two per string, so escaped quotes in metadata, written
-    # as \" (one more mark each) or \u0022 (none), decide nothing alone
+    # escaped quotes in metadata, written as \" or \u0022, decide nothing:
+    # only the decoded type of each data entry does
     doc = _doc(tmp_path)
     doc["note"] = ['say "hi"', {"k": None}]
     text = json.dumps(doc)
@@ -269,6 +278,10 @@ def test_malformed_json_is_a_format_error(tmp_path):
         load(path)
     path.write_text("[1, 2, 3]")
     with pytest.raises(FieldFormatError):
+        load(path)
+    # the decoder recurses once per bracket
+    path.write_text("[" * 200_000)
+    with pytest.raises(FieldFormatError, match="not valid JSON"):
         load(path)
 
 

@@ -161,9 +161,19 @@ def test_shifted_read_rows_are_rows_of_the_full_read(boundary, fill):
 
 @pytest.mark.parametrize("boundary, fill", [
     ("periodic", None), ("zero", None), ("zero", np.array([[1.0, 2.0j], [-3.0, 0.5]]))])
-def test_a_stacked_read_is_the_stack_of_its_slot_reads(boundary, fill):
+def test_a_stacked_read_is_the_stack_of_its_slot_reads(monkeypatch, boundary, fill):
     # runs of one slot, of consecutive slots and of any slots, each run at one
-    # offset, whole and cut to rows, on axes of four, three, one and two sites
+    # offset, whole and cut to rows, on axes of four, three, one and two sites;
+    # this periodic window reads by gather, and a cutoff of 0 sends the same
+    # reads through the block copies of `_stacked_blocks`
+    for gather_sites in (cochain.GATHER_SITES, 0):
+        monkeypatch.setattr(cochain, "GATHER_SITES", gather_sites)
+        before = gathers()
+        check_stacked_reads(boundary, fill)
+        assert (gathers() > before) == (boundary == "periodic" and gather_sites > 0)
+
+
+def check_stacked_reads(boundary, fill):
     dims = (4, 3, 1, 2)
     w = Window(dims, boundary)
     rng = np.random.default_rng(5)

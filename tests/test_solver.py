@@ -588,6 +588,16 @@ def test_line_residuals_interpolate_exactly(kind, problem):
             objective(a_t, problem), rel=1e-12)
 
 
+def test_the_line_search_starts_from_the_objective():
+    # R(0) of the quartic and the objective sum R the same way, bitwise
+    problem = DualityProblem("mink", "self_dual")
+    a = random_connection(Window((2, 2, 2, 2), "periodic"), "sl2c", seed=1)
+    d = random_connection(a.window, "sl2c", seed=2)
+    _, r0 = solver._objective_and_residual(a, problem)
+    r1, r2 = solver._line_residuals(a, d, r0, problem)
+    assert solver._quartic(r0.buf, r1, r2)[0] == objective(a, problem)
+
+
 def test_exact_step_picks_the_lowest_positive_minimum():
     # (t^2 - 5 t + 4)^2 has minima at t = 1 and t = 4; a tilt e t picks one
     well = (16.0, -40.0, 33.0, -10.0, 1.0)
