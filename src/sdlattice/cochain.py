@@ -183,6 +183,15 @@ def _stacked_blocks(dims: tuple, slots: tuple, offsets: tuple, rows, n_slots: in
                  for dst, source, inside in _blocks(dims, off, rows))
 
 
+def _interleaved(slots: tuple, offsets: tuple, copies: int) -> tuple:
+    """(slots, offsets) of a stacked read of `copies` fields stored slot by
+    slot, slot s of field h at copies * s + h: each read of slot s becomes
+    one read per field, at the same offsets, so a stack holds the fields
+    interleaved as well."""
+    return (tuple(copies * s + h for s in slots for h in range(copies)),
+            tuple(o for o in offsets for _ in range(copies)))
+
+
 # Sites per slab: a slot of 4 096 sites is 256 KiB, so a plane's intermediates stay
 # in a 2 MiB L2.  One kernels-16 op pair took 833 ms at 4 096 (1 row), 824 at 8 192,
 # 886 at 16 384 and 1 173 as one slab; at 8^4, 51 ms as one slab, 67 at 2 048.
@@ -241,6 +250,13 @@ def _for_tiles(dims: tuple, body) -> None:
     _for_slabs(dims, slab)
 
 
+def _check_labels(algebra: str, metric: str | None) -> None:
+    if algebra not in ALGEBRA_KINDS:
+        raise ValueError(f"unknown algebra kind {algebra!r}")
+    if metric is not None and metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS} or None, got {metric!r}")
+
+
 class Field:
     """Common storage and sitewise arithmetic for all cochain ranks.
 
@@ -257,10 +273,7 @@ class Field:
         data = np.asarray(data, dtype=complex)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} != expected {expected}")
-        if algebra not in ALGEBRA_KINDS:
-            raise ValueError(f"unknown algebra kind {algebra!r}")
-        if metric is not None and metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS} or None, got {metric!r}")
+        _check_labels(algebra, metric)
         self.window = window
         self.buf = np.ascontiguousarray(_sites_last(data))
         self.algebra = algebra
@@ -274,7 +287,13 @@ class Field:
     @classmethod
     def _from_buf(cls, window: Window, buf: np.ndarray, algebra: str,
                   metric: str | None = None) -> "Field":
-        return cls(window, _sites_first(buf), algebra=algebra, metric=metric)
+        """The field on `buf` itself: the caller passes a fresh C-contiguous
+        complex array of shape (slots, 2, 2) + dims (rank 0: (2, 2) + dims),
+        which is not checked; the labels are, as in the constructor."""
+        _check_labels(algebra, metric)
+        field = object.__new__(cls)
+        field.window, field.buf, field.algebra, field.metric = window, buf, algebra, metric
+        return field
 
     def _like(self, buf: np.ndarray) -> "Field":
         return self._from_buf(self.window, buf, self.algebra, self.metric)
@@ -296,7 +315,7 @@ class Field:
     def __mul__(self, c) -> "Field":
         if not isinstance(c, numbers.Number):
             return NotImplemented
-        return self._like(self.buf * c)
+        return self._like(np.multiply(self.buf, c, dtype=complex))
 
     __rmul__ = __mul__
 

@@ -19,10 +19,11 @@ Round-trips are bitwise exact, signed zeros included (Python's JSON float
 text is shortest round-trip decimal and writes -0.0 as `-0.0`).  `save`
 builds the whole JSON text in memory before it opens the file, about 4 MB
 for an 8^4 curvature.  Data must be finite numbers: JSON has no NaN or
-Infinity, so `save` refuses such fields.  `load` checks dims and boundary
-by building the `Window`, refuses the labels `save` does, and refuses data
-unless every entry decodes to exactly int or float (numpy would convert
-"1.5", true and null) and is finite.
+Infinity, so `save` refuses such fields.  `load` refuses a format_version
+or rank that is not exactly an int, checks dims and boundary by building
+the `Window`, refuses the labels `save` does, and refuses data unless
+every entry decodes to exactly int or float (numpy would convert "1.5",
+true and null) and is finite.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def load(path) -> Field:
         raise FieldFormatError("document root must be a JSON object")
 
     version = _require(doc, "format_version")
-    if isinstance(version, bool):
+    if type(version) is not int:  # true decodes to a bool, 1.0 to a float
         raise FieldFormatError(f"format_version must be an integer, got {version!r}")
     if version != FORMAT_VERSION:
         raise FieldVersionError(
@@ -101,8 +102,6 @@ def load(path) -> Field:
     dims, boundary = _require(doc, "dims"), _require(doc, "boundary")
     try:
         window = Window(dims, boundary)
-    except TypeError as exc:
-        raise FieldFormatError(f"dims must be a list, got {dims!r}") from exc
     except ValueError as exc:
         raise FieldFormatError(str(exc)) from exc
     metric = doc.get("metric")

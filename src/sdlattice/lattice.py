@@ -25,7 +25,10 @@ class Window:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:  # not iterable: refused below like any other bad dims
+            dims = ()
         integers = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in dims)
         if len(dims) != 4 or not integers or any(n < 1 for n in dims):
             raise ValueError(f"dims must be four positive integers, got {self.dims!r}")

@@ -2,7 +2,8 @@
 and the difference form of the diagonal relation (relation 13) checked on A.
 
 Also the closed form of the Hessian symbol at A = 0 that the solver's
-preconditioner reads off the kernels.
+preconditioner reads off the kernels, and the two-pass forms of the
+solver's line-search residuals and exact step that it computes faster.
 
 Sites are 4-tuples, axes 1-based.  Reads resolve a possibly-outside site
 the way the window does: periodic windows wrap, zero windows read the zero
@@ -12,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from sdlattice.algebra import as_rng, dagger, from_coefficients, random_coefficients
-from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField
-from sdlattice.curvature import _planes_curvature
-from sdlattice.duality import DualityProblem, RelationReport
+from sdlattice.algebra import as_rng, dagger, from_coefficients, mul, random_coefficients
+from sdlattice.cochain import PLANES, ConnectionField, CurvatureField, GaugeField, shifted_read
+from sdlattice.curvature import _planes_curvature, curvature
+from sdlattice.duality import DualityProblem, RelationReport, residual
 from sdlattice.hodge import star_moves
 
 AXES = (1, 2, 3, 4)
@@ -160,3 +161,30 @@ def hessian_symbol_closed_form(dims, problem: DualityProblem, algebra_kind: str)
     if algebra_kind == "su2":
         m = 0.5 * (m + m[np.ix_(*((-np.arange(n)) % n for n in dims))].conj())
     return m
+
+
+def line_residuals_two_pass(conn: ConnectionField, step: ConnectionField, res: CurvatureField,
+                            problem: DualityProblem):
+    """r1, r2 of the solver's line search by two residual evaluations: r2 is
+    the residual of the product terms d^i d^j(+e_i) - d^j d^i(+e_j) of
+    d = step alone, and r1 = residual(curvature(A + d)) - res.buf - r2, in
+    that order of operations."""
+    w, d = conn.window, step.buf
+    products = CurvatureField.zeros(w)
+    for n, (i, j) in enumerate(PLANES):
+        dj_up_i = shifted_read(d[j - 1], w, tuple(int(k == i) for k in AXES))
+        di_up_j = shifted_read(d[i - 1], w, tuple(int(k == j) for k in AXES))
+        products.buf[n] = mul(d[i - 1], dj_up_i) - mul(d[j - 1], di_up_j)
+    r2 = residual(products, problem).buf
+    r1 = residual(curvature(conn + step), problem).buf - res.buf
+    r1 -= r2
+    return r1, r2
+
+
+def exact_step_by_np_roots(c) -> float:
+    """The solver's exact step with the critical points of the quartic R
+    (coefficients c, lowest first) from np.roots: the positive real root of
+    R' with the lowest R, 1 if there is none."""
+    c0, c1, c2, c3, c4 = c
+    ts = [r.real for r in np.roots([4 * c4, 3 * c3, 2 * c2, c1]) if r.imag == 0 and r.real > 0]
+    return min(ts, key=lambda t: c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))), default=1.0)

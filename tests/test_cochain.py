@@ -240,9 +240,11 @@ def test_diagonal_shift_round_trip():
 
 
 def assert_buffer_layout(f):
-    """f owns a C-contiguous (slots, 2, 2) + dims buffer and .data views it."""
+    """f owns a C-contiguous complex (slots, 2, 2) + dims buffer and .data
+    views it: what the constructor guarantees and `Field._from_buf` trusts
+    the kernels to pass."""
     entries = (f.slots, 2, 2) if f.slots else (2, 2)
-    assert f.buf.shape == entries + f.window.dims
+    assert f.buf.shape == entries + f.window.dims and f.buf.dtype == complex
     assert f.buf.flags.c_contiguous
     assert f.data.shape == f.window.dims + entries
     assert np.shares_memory(f.data, f.buf)
@@ -261,7 +263,7 @@ def test_every_returned_field_has_a_c_contiguous_sites_last_buffer(tmp_path):
                 a, g, pure_gauge(g), f, star(f, "mink"), residual(f, problem),
                 residual_componentwise(a, problem),
                 diagonal_shift(a), diagonal_shift(f, "up"), diagonal_shift(g),
-                a + a, f - f, 2.0 * f, f * 1j, -g, a.copy(),
+                a + a, f - f, 2.0 * f, f * 1j, f * np.clongdouble(0.5), -g, a.copy(),
             ]
             if boundary == "periodic":
                 slice12 = diag_invariant_slice(w, seed=5)

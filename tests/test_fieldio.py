@@ -156,6 +156,7 @@ def test_dims_data_disagreement_is_a_shape_error(tmp_path):
 
 def test_bad_metadata_values(tmp_path):
     bad = [
+        ("format_version", 1.0),
         ("rank", 3),
         ("dims", [2, 2, 2]),
         ("dims", "2,2,2,2"),

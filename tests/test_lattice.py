@@ -89,6 +89,13 @@ def test_window_validation():
     assert all(type(n) is int for n in w.dims)
 
 
+def test_window_refuses_dims_that_are_not_a_sequence():
+    # a non-iterable dims gets the ValueError of any other bad dims
+    for dims in (4, None, 2.5):
+        with pytest.raises(ValueError, match="dims must be four positive integers"):
+            Window(dims)
+
+
 def test_window_parse():
     w = Window.parse("2,3,4,5", "zero")
     assert w.dims == (2, 3, 4, 5)

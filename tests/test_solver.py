@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from oracle import hessian_symbol_closed_form
+from oracle import exact_step_by_np_roots, hessian_symbol_closed_form, line_residuals_two_pass
 from sdlattice.algebra import basis, is_sl2c, is_su2
 from sdlattice.cochain import ConnectionField, shifted_read
 from sdlattice.curvature import constant_connection, curvature, random_connection
@@ -206,7 +206,8 @@ def test_lbfgs_direction_matches_dense_bfgs_inverse_hessian():
     for s, y, sy in history:
         v = np.eye(n) - np.outer(y, s) / sy
         h = v.T @ h @ v + np.outer(s, s) / sy
-    d = _lbfgs_direction(g, history, lambda x: p @ x)
+    # P takes a flat vector or a stack of them as rows; p is symmetric
+    d = _lbfgs_direction(g, history, lambda x: x @ p)
     assert d.shape == (n,)
     np.testing.assert_allclose(d, -(h @ g), rtol=1e-12)
 
@@ -334,6 +335,25 @@ def test_preconditioner_is_the_shifted_inverse_hessian(kind, metric, dims):
     hv = _apply_symbol(symbol, v, dims, kind).real
     np.testing.assert_allclose(precondition(hv + mu * v), v,
                                rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("kind, problem", [("su2", EUCLID_SD),
+                                           ("sl2c", DualityProblem("mink", "anti_self_dual"))],
+                         ids=["su2-euclid-sd", "sl2c-mink-asd"])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 1), (2, 2, 2, 2), (3, 3, 3, 3), (3, 4, 2, 5),
+                                  (4, 4, 4, 4), (2, 3, 5, 7), (8, 8, 8, 8)], ids=str)
+def test_a_stacked_preconditioner_apply_is_the_single_applies(kind, problem, dims):
+    # the solver applies P once per iteration, to the stack [q, y]; a BLAS
+    # may round a stacked DFT product differently, so the bound is 1e-15
+    precondition = solver._preconditioner(dims, problem, kind)
+    n = math.prod(dims) * 4 * (3 if kind == "su2" else 6)
+    v = np.random.default_rng(8).normal(size=(3, n))
+    stacked = precondition(v)
+    assert stacked.shape == v.shape
+    for row, out in zip(v, stacked):
+        single = precondition(row)
+        assert single.shape == (n,)
+        assert np.max(np.abs(out - single)) <= 1e-15 * np.max(np.abs(single))
 
 
 def test_preconditioner_is_the_identity_on_a_one_site_window():
@@ -588,6 +608,26 @@ def test_line_residuals_interpolate_exactly(kind, problem):
             objective(a_t, problem), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, problem", [("su2", EUCLID_SD),
+                                           ("sl2c", DualityProblem("mink", "anti_self_dual"))],
+                         ids=["su2-euclid-sd", "sl2c-mink-asd"])
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 3, 3, 3),
+                                  (3, 4, 2, 5), (4, 4, 4, 4), (5, 5, 5, 5), (8, 8, 8, 8),
+                                  (3, 16, 16, 8)], ids=str)
+def test_line_residuals_are_bitwise_the_two_residual_formula(kind, problem, dims):
+    # one stacked pass over d and A + d gives the bits of the product pass,
+    # the curvature at A + d and two residuals: every product and sum is
+    # elementwise the same
+    w = Window(dims, "periodic")
+    a = random_connection(w, kind, seed=12, scale=0.5)
+    d = random_connection(w, kind, seed=13, scale=0.5)
+    _, r0 = solver._objective_and_residual(a, problem)
+    r1, r2 = solver._line_residuals(a, d, r0, problem)
+    o1, o2 = line_residuals_two_pass(a, d, r0, problem)
+    assert r1.tobytes() == o1.tobytes()
+    assert r2.tobytes() == o2.tobytes()
+
+
 def test_the_line_search_starts_from_the_objective():
     # R(0) of the quartic and the objective sum R the same way, bitwise
     problem = DualityProblem("mink", "self_dual")
@@ -608,6 +648,25 @@ def test_exact_step_picks_the_lowest_positive_minimum():
     # no positive critical point, or non-finite coefficients: t = 1
     assert solver._exact_step((1.0, 2.0, 1.0, 0.0, 0.0)) == 1.0
     assert solver._exact_step((1.0, -1.0, float("nan"), 0.0, 1.0)) == 1.0
+
+
+def test_exact_step_chooses_the_np_roots_root():
+    # the companion matrix's eigenvalues are np.roots' own roots; quartics
+    # with c4 = 0 or c1 = 0, where np.roots trims zeros, go through it
+    rng = np.random.default_rng(21)
+    cases = [(1.0, 0.0, -2.0, 0.5, 1.0), (1.0, -3.0, 1.0, 2.0, 0.0), (2.0, 0.0, 1.0, -1.0, 0.0),
+             (1.0, -1.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)]
+    for n in range(10000):
+        c = 10.0 ** rng.uniform(-12, 5, size=5) * np.r_[1, rng.choice([-1, 1], size=3), 1]
+        c = [float(x) for x in c]
+        if n % 10 == 0:
+            c[1] = 0.0
+        if n % 10 == 5:
+            c[4] = 0.0
+        cases.append(tuple(c))
+    for c in cases:
+        t = solver._exact_step(c)
+        assert t == exact_step_by_np_roots(c), c
 
 
 def test_solve_is_deterministic():
