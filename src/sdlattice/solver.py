@@ -25,8 +25,7 @@ is H0 = gamma P with P = (M + mu I)^-1 taken per momentum,
 gamma = s.y / y.P y of the newest pair, and the first direction is -P g
 (Davies et al., Phys. Rev. D 37, 1581 (1988); Nocedal & Wright, Numerical
 Optimization, section 7.2); P is applied once per iteration, to the
-stack [q, y] of the recursion's vector and the newest y (row by row on
-windows above 2 048 sites, `_together`).
+stack [q, y] of the recursion's vector and the newest y.
 mu = PRECONDITIONER_SHIFT times the largest eigenvalue of the symbol
 stands in for its null space: constant modes, pure-gauge directions and
 the kernel of F -> a F + b *F.  Real su(2) coordinates meeting complex
@@ -38,8 +37,7 @@ r0 + t r1 + t^2 r2 and R is a quartic in t (Nocedal & Wright, section 3.5
 on exact line searches): the step minimises it, and the gradient at the
 new point takes its interpolated residual instead of a new curvature.
 r1 and r2 come from one tile pass, which writes F(A + d) and the product
-terms d^d of d (as one stack on windows of at most 2 048 sites), and one
-residual pass over both.
+terms d^d of d as one stack, and one residual pass over both.
 R is summed as one np.vdot(r, r).real of the residual r (a BLAS dot
 product, no field-sized temporaries), in `objective` as in the quartic's
 constant term, so the line search starts from R(A) bitwise.
@@ -55,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cochain
 from .algebra import BASIS, MEMBERSHIP, mul, sl2c_coefficients
 from .cochain import (
     PLANES,
@@ -349,67 +346,46 @@ def solve(conn0: ConnectionField, cfg: SolveConfig) -> tuple[ConnectionField, So
     return conn, report
 
 
-def _together(n_sites: int) -> bool:
-    """Whether two fields on a window of n_sites sites go through a kernel
-    pass together, as one stack: on at most cochain.SLAB_SITES / 2 sites.
-    Larger stacks outgrow a 2 MiB L2: against one field at a time, the
-    joint line search took +5 % at 8^4 and a stacked P apply +9 % at 16^4
-    (su2, one core), where at 5^4 they saved 12 and 8 %."""
-    return 2 * n_sites <= cochain.SLAB_SITES
-
-
 def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: DualityProblem):
     """r1, r2 with residual(curvature(A + t d)) = res.buf + t r1 + t^2 r2 for
     A = conn, d = step.  The curvature is quadratic in A: r2 is the residual
     of the product terms of d alone, d^i d^j(+e_i) - d^j d^i(+e_j) per
     plane, and r1 = r(1) - res.buf - r2, r(1) the residual at A + d.
 
-    One tile pass over d and A + d writes the products of d and F(A + d),
-    and one residual pass follows.  Where the two fields go through a pass
-    together (`_together`), they are interleaved slot by slot: a tile is
-    one stacked read and one stacked pair of products, to which F(A + d)
-    adds its difference terms, and the residual pass reads the 12 slots at
-    once; elsewhere each tile takes one field at a time.  Every product and
-    sum is elementwise the one `curvature` and `residual` take, so r1 and
-    r2 are bitwise those of two residual evaluations; the line search
-    counts as one evaluation (`SolveReport.evaluations`)."""
+    One tile pass over d and A + d, interleaved slot by slot, writes the
+    products of d and F(A + d): a tile is one stacked read and one stacked
+    pair of products, to which F(A + d) adds its difference terms.  One
+    residual pass over the 12 slots follows.  Every product and sum is
+    elementwise the one `curvature` and `residual` take, so r1 and r2 are
+    bitwise those of two residual evaluations; the line search counts as
+    one evaluation (`SolveReport.evaluations`)."""
     w = conn.window
-    # each field with the slots of A + d among its stacks' entries
-    if _together(w.n_sites):
-        both = np.empty((4, 2) + step.buf.shape[1:], dtype=complex)  # (d^k, (A + d)^k) per axis k
-        both[:, 0] = step.buf
-        np.add(conn.buf, step.buf, out=both[:, 1])
-        fields = [(both.reshape((8,) + step.buf.shape[1:]), slice(1, None, 2))]
-    else:
-        fields = [(step.buf, None), (conn.buf + step.buf, slice(None))]
-    # six slots per field, interleaved as the fields are: (d^d, F(A + d)) per plane
-    wedges = [np.empty((len(buf) // 4 * 6,) + buf.shape[1:], dtype=complex) for buf, _ in fields]
+    both = np.empty((4, 2) + step.buf.shape[1:], dtype=complex)  # (d^k, (A + d)^k) per axis k
+    both[:, 0] = step.buf
+    np.add(conn.buf, step.buf, out=both[:, 1])
+    both = both.reshape((8,) + step.buf.shape[1:])
+    wedges = np.empty((12,) + step.buf.shape[1:], dtype=complex)  # (d^d, F(A + d)) per plane
 
     def tile(rows, index, group):
-        for (buf, sums), wedge in zip(fields, wedges):
-            c = len(buf) // 4
-            ai, aj, ai_up_j, aj_up_i = _plane_stacks(buf, w, PLANES[group], rows)
-            out = mul(ai, aj_up_i, wedge[index][c * group.start:c * group.stop])
-            if sums is not None:
-                # the difference terms of F(A + d), summed as in `curvature`,
-                # in aj_up_i: a fresh read, free to reuse once in its product
-                diff = aj_up_i[sums]
-                diff -= aj[sums]
-                diff -= ai_up_j[sums] - ai[sums]
-                out[sums] += diff
-            out -= mul(aj, ai_up_j, aj_up_i)
+        ai, aj, ai_up_j, aj_up_i = _plane_stacks(both, w, PLANES[group], rows)
+        out = mul(ai, aj_up_i, wedges[index][2 * group.start:2 * group.stop])
+        # the difference terms of F(A + d), summed as in `curvature`, in
+        # aj_up_i: a fresh read, free to reuse once in its product
+        diff = aj_up_i[1::2]
+        diff -= aj[1::2]
+        diff -= ai_up_j[1::2] - ai[1::2]
+        out[1::2] += diff
+        out -= mul(aj, ai_up_j, aj_up_i)
     _for_tiles(w.dims, tile)
     a, b = problem.coefficients
-    residuals = [np.empty_like(wedge) for wedge in wedges]
+    residuals = np.empty_like(wedges)
 
     def residual_tile(rows, index, group):
-        for wedge, out in zip(wedges, residuals):
-            slots = slice(len(wedge) // 6 * group.start, len(wedge) // 6 * group.stop)
-            _residual_tile(wedge, w, problem.metric, a, b, False, rows, index, slots,
-                           out[index][slots])
+        slots = slice(2 * group.start, 2 * group.stop)
+        _residual_tile(wedges, w, problem.metric, a, b, False, rows, index, slots,
+                       residuals[index][slots])
     _for_tiles(w.dims, residual_tile)
-    r2, r_at_1 = (residuals[0][0::2], residuals[0][1::2]) if len(residuals) == 1 else residuals
-    r2 = np.ascontiguousarray(r2)
+    r2, r_at_1 = np.ascontiguousarray(residuals[0::2]), residuals[1::2]
     r1 = r_at_1 - res.buf
     r1 -= r2
     return r1, r2
@@ -516,11 +492,7 @@ def _preconditioner(dims: tuple, problem: DualityProblem, algebra_kind: str):
     width = 3 if algebra_kind == "su2" else 6  # real coordinates per slot
 
     def apply(v: np.ndarray) -> np.ndarray:
-        """P v of a flat vector v, or of each row of a stack (k, n) of them:
-        all rows at once on windows where `_together` holds, else row by
-        row."""
-        if v.ndim == 2 and not _together(n_sites):
-            return np.stack([apply(row) for row in v])
+        """P v of a flat vector v, or of each row of a stack (k, n) of them."""
         x = _complex(v.reshape(-1, n_sites, 4, width), algebra_kind).transpose(0, 2, 3, 1)
         # DFT matrices are symmetric, so the axes 3-4 product is x @ f34
         x = (f12 @ (x.reshape(-1, n34) @ f34).reshape(-1, n12, n34)).reshape(-1, 4, 3, n_sites)
