@@ -60,20 +60,21 @@ def mul(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
 
 
 def _negligible(err: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """err <= tol * max(1, largest entry magnitude), matrix by matrix."""
-    return bool(np.all(err <= tol * np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))))
+    """Every entry of x finite and err <= tol * max(1, largest entry magnitude) per matrix."""
+    scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))
+    return bool(np.all(np.isfinite(x)) and np.all(err <= tol * scale))
 
 
 def is_su2(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every matrix of x is anti-Hermitian and traceless to within
-    tol, relative to its largest entry once that exceeds 1."""
+    """True iff every matrix of x is finite, anti-Hermitian and traceless to
+    within tol, relative to its largest entry once that exceeds 1."""
     x = np.asarray(x)
     return is_sl2c(x, tol) and _negligible(np.max(np.abs(x + dagger(x)), axis=(-2, -1)), x, tol)
 
 
 def is_sl2c(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every matrix of x is traceless to within tol, relative to its
-    largest entry once that exceeds 1."""
+    """True iff every matrix of x is finite and traceless to within tol,
+    relative to its largest entry once that exceeds 1."""
     x = np.asarray(x)
     return _negligible(np.abs(np.trace(x, axis1=-2, axis2=-1)), x, tol)
 

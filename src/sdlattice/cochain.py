@@ -74,7 +74,8 @@ def shifted_read(data: np.ndarray, window: Window, offsets, fill=None, rows=None
     only, into `out` (not overlapping `data`) or a new array.
     slots=(s_0, s_1, ...), a tuple or range, reads a stack in one call, with
     `offsets` a tuple of one offset tuple per slot: out[n] is slot s_n of
-    `data` (its first axis) read at offsets[n].
+    `data` (its first axis) read at offsets[n], any axes between the first
+    and the sites carried along.
     Raises ValueError if the last four axes of `data` are not the window
     dims, if an offset does not have four entries, if `rows` is not a pair
     of integers (bools refused) or unless 0 <= lo < hi <= N1, and if
@@ -181,15 +182,6 @@ def _stacked_blocks(dims: tuple, slots: tuple, offsets: tuple, rows, n_slots: in
                   (src[0] if src[1:2] == src[:1] else slice(src[0], src[-1] + 1),) + source, inside)
                  for n, src, off in runs
                  for dst, source, inside in _blocks(dims, off, rows))
-
-
-def _interleaved(slots: tuple, offsets: tuple, copies: int) -> tuple:
-    """(slots, offsets) of a stacked read of `copies` fields stored slot by
-    slot, slot s of field h at copies * s + h: each read of slot s becomes
-    one read per field, at the same offsets, so a stack holds the fields
-    interleaved as well."""
-    return (tuple(copies * s + h for s in slots for h in range(copies)),
-            tuple(o for o in offsets for _ in range(copies)))
 
 
 # Sites per slab: a slot of 4 096 sites is 256 KiB, so a plane's intermediates stay

@@ -23,7 +23,6 @@ from .cochain import (
     CurvatureField,
     GaugeField,
     _for_tiles,
-    _interleaved,
     shifted_read,
 )
 from .lattice import Window
@@ -56,31 +55,30 @@ def _plane_stacks(buf, window, planes, rows=None, bases=None):
     """A^i, A^j, A^i(+e_j) and A^j(+e_i) of each plane (i, j), read at its
     base (default all zero), as stacks of the slots of `buf` from one stacked
     read; one unshifted plane reads the last two only and takes A^i and A^j
-    as views of `buf`.  `buf` holds one connection, or c = len(buf) // 4
-    interleaved slot by slot (`cochain._interleaved`); each stack then holds
-    c slots per plane, one per connection."""
-    c = len(buf) // 4
-    slots, offsets = _stack_reads(tuple(planes), bases or ((0, 0, 0, 0),) * len(planes), c)
+    as views of `buf`: one connection's (4, 2, 2) + dims, or two on axis 1
+    of (4, 2, 2, 2) + dims, the axes between the first and the sites
+    carried along."""
+    slots, offsets = _stack_reads(tuple(planes), bases or ((0, 0, 0, 0),) * len(planes))
     read = shifted_read(buf, window, offsets, rows=rows, slots=slots)
-    if len(slots) == 2 * c:
+    if len(slots) == 2:
         (i, j), = planes
-        cut = (slice(None),) * 3 + (slice(*rows) if rows else slice(None),)
-        return buf[c * (i - 1):c * i][cut], buf[c * (j - 1):c * j][cut], read[c:], read[:c]
-    n = c * len(planes)
+        cut = (..., slice(*rows) if rows else slice(None), slice(None), slice(None), slice(None))
+        return buf[i - 1:i][cut], buf[j - 1:j][cut], read[1:], read[:1]
+    n = len(planes)
     return read[2 * n:3 * n], read[3 * n:], read[n:2 * n], read[:n]
 
 
 @functools.lru_cache(maxsize=256)
-def _stack_reads(planes: tuple, bases: tuple, copies: int) -> tuple:
-    """(slots, offsets) of the read of `_plane_stacks` from `copies`
-    interleaved connections: A^j(+e_i), A^i(+e_j), A^i and A^j of every
-    plane in turn, the last two left out for one unshifted plane."""
+def _stack_reads(planes: tuple, bases: tuple) -> tuple:
+    """(slots, offsets) of the read of `_plane_stacks`: A^j(+e_i), A^i(+e_j),
+    A^i and A^j of every plane in turn, the last two left out for one
+    unshifted plane."""
     si, sj = tuple(i - 1 for i, _ in planes), tuple(j - 1 for _, j in planes)
     up_i = tuple(b[:i - 1] + (b[i - 1] + 1,) + b[i:] for (i, _), b in zip(planes, bases))
     up_j = tuple(b[:j - 1] + (b[j - 1] + 1,) + b[j:] for (_, j), b in zip(planes, bases))
     if len(planes) == 1 and not any(bases[0]):
-        return _interleaved(sj + si, up_i + up_j, copies)
-    return _interleaved(sj + si + si + sj, up_i + up_j + bases + bases, copies)
+        return sj + si, up_i + up_j
+    return sj + si + si + sj, up_i + up_j + bases + bases
 
 
 def curvature(conn: ConnectionField) -> CurvatureField:

@@ -92,9 +92,9 @@ def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
 def _residual_tile(data, window, metric, a, b, transpose, rows, index, group, out):
     """Tile (rows, group) of a X + b S X, S the star, of the sites-last
     `data` (or of a X + b S^T X with transpose=True), written to `out`;
-    index is the slab's sites-last index.  `data` is one six-slot field or
-    two interleaved (`hodge._moved`), group then a slice of its 12 slots.
-    b S X is scaled in place, so a X is the one temporary, tile-sized."""
+    index is the slab's sites-last index.  `data` is a (6, ...) + dims
+    stack of six-slot fields (`hodge._moved`), group a slice of its first
+    axis.  b S X is scaled in place, so a X is the one temporary, tile-sized."""
     out = _moved(data, window, metric, transpose, group, rows, out)
     out *= b
     out += a * data[index][group]
@@ -119,7 +119,7 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     out = CurvatureField.zeros(conn.window, algebra="general")
     out.metric = problem.metric
     # per star move, target-ordered: a own plane + b sign (source plane at the offsets)
-    slots, offsets, signs = _READS[problem.metric, False, 1]
+    slots, offsets, signs = _READS[problem.metric, False]
     sources = tuple(PLANES[s] for s in slots)
 
     def body(rows, index, group):

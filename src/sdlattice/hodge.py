@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_tiles, _interleaved, shifted_read
+from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_tiles, shifted_read
 from .lattice import METRICS, Index
 
 # Star sign of each source plane, in PLANES order.
@@ -39,21 +39,18 @@ _MOVES = {
 }
 
 
-def _stacked(moves, transpose, copies):
+def _stacked(moves, transpose):
     """The star (or with transpose=True its transpose) as one stacked read:
-    slot n of the result is signs[n] times slot slots[n] read at offsets[n].
-    With copies=2 it acts on two six-slot fields interleaved slot by slot
-    (`cochain._interleaved`), each read and sign once per field."""
+    slot n of the result is signs[n] times slot slots[n] read at offsets[n]."""
     order = moves if transpose else sorted(moves, key=lambda move: move[1])
-    slots, offsets = _interleaved(
-        tuple(move[1 if transpose else 0] for move in order),
-        tuple(tuple(-o if transpose else o for o in move[3]) for move in order), copies)
-    signs = np.array([move[2] for move in order for _ in range(copies)], complex)
-    return slots, offsets, signs.reshape(6 * copies, 1, 1, 1, 1, 1, 1)
+    slots = tuple(move[1 if transpose else 0] for move in order)
+    offsets = tuple(tuple(-o if transpose else o for o in move[3]) for move in order)
+    signs = np.array([move[2] for move in order], complex)
+    return slots, offsets, signs.reshape(6, 1, 1, 1, 1, 1, 1)
 
 
-_READS = {(metric, transpose, copies): _stacked(moves, transpose, copies)
-          for metric, moves in _MOVES.items() for transpose in (False, True) for copies in (1, 2)}
+_READS = {(metric, transpose): _stacked(moves, transpose)
+          for metric, moves in _MOVES.items() for transpose in (False, True)}
 
 
 def star_moves(metric: str) -> tuple:
@@ -90,12 +87,12 @@ def star(field: CurvatureField, metric: str) -> CurvatureField:
 
 def _moved(data, window, metric, transpose, group, rows, out):
     """Slots `group` of the star (or with transpose=True its transpose) of
-    the sites-last `data`, cut to `rows`, written to `out`: `data` holds
-    one six-slot field, or two interleaved slot by slot (12 slots), whose
-    stars come out interleaved the same way."""
-    slots, offsets, signs = _READS[metric, transpose, len(data) // 6]
+    the sites-last `data`, cut to `rows`, written to `out`: `data` is one
+    field's (6, 2, 2) + dims, or two on axis 1 of (6, 2, 2, 2) + dims, the
+    axes between the first and the sites carried along."""
+    slots, offsets, signs = _READS[metric, transpose]
     read = shifted_read(data, window, offsets[group], rows=rows, out=out, slots=slots[group])
-    return np.multiply(read, signs[group], out=read)
+    return np.multiply(read, signs[group].reshape((-1,) + (1,) * (read.ndim - 1)), out=read)
 
 
 def double_star(field: CurvatureField, metric: str) -> CurvatureField:

@@ -6,8 +6,10 @@ su(2) slot, 6 per sl(2,C) slot).  The gradient is computed analytically by
 running the chain rule backwards through the residual operator, the star
 permutation, and the four terms of the curvature formula.  Convergence
 (SolveConfig.tol, SolveReport.final_residual, the trace) is measured on the
-objective R itself.  Only periodic windows are supported (shifts must be
-bijections for the adjoints to be exact).  R = 0 holds for every flat
+objective R itself.  Only periodic windows are supported: the
+preconditioner P below is the symbol of the translation-invariant Hessian
+at A = 0, and solves on zero windows are not yet characterised (there the
+gradient matches central differences as well).  R = 0 holds for every flat
 connection too, and from small random starts su2 (either metric) and sl2c
 euclid reach tol by flattening A, with R / ||F||^2 left near 2; only sl2c
 mink ends with R well below ||F||^2.  For su2 on either Minkowski problem
@@ -352,41 +354,36 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     of the product terms of d alone, d^i d^j(+e_i) - d^j d^i(+e_j) per
     plane, and r1 = r(1) - res.buf - r2, r(1) the residual at A + d.
 
-    One tile pass over d and A + d, interleaved slot by slot, writes the
-    products of d and F(A + d): a tile is one stacked read and one stacked
-    pair of products, to which F(A + d) adds its difference terms.  One
-    residual pass over the 12 slots follows.  Every product and sum is
-    elementwise the one `curvature` and `residual` take, so r1 and r2 are
-    bitwise those of two residual evaluations; the line search counts as
-    one evaluation (`SolveReport.evaluations`)."""
+    One tile pass over both[k] = (d^k, (A + d)^k) writes wedges[p] =
+    (products of d, F(A + d)) per plane p: a tile is one stacked read and one
+    stacked pair of products, to which F(A + d) adds its difference terms.
+    One residual pass over both halves of `wedges` follows.  Every product
+    and sum is elementwise the one `curvature` and `residual` take, so r1 and
+    r2 are bitwise those of two residual evaluations; the line search counts
+    as one evaluation (`SolveReport.evaluations`)."""
     w = conn.window
-    both = np.empty((4, 2) + step.buf.shape[1:], dtype=complex)  # (d^k, (A + d)^k) per axis k
+    both = np.empty((4, 2) + step.buf.shape[1:], dtype=complex)
     both[:, 0] = step.buf
     np.add(conn.buf, step.buf, out=both[:, 1])
-    both = both.reshape((8,) + step.buf.shape[1:])
-    wedges = np.empty((12,) + step.buf.shape[1:], dtype=complex)  # (d^d, F(A + d)) per plane
+    wedges = np.empty((6, 2) + step.buf.shape[1:], dtype=complex)
 
     def tile(rows, index, group):
         ai, aj, ai_up_j, aj_up_i = _plane_stacks(both, w, PLANES[group], rows)
-        out = mul(ai, aj_up_i, wedges[index][2 * group.start:2 * group.stop])
+        out = mul(ai, aj_up_i, wedges[index][group])
         # the difference terms of F(A + d), summed as in `curvature`, in
         # aj_up_i: a fresh read, free to reuse once in its product
-        diff = aj_up_i[1::2]
-        diff -= aj[1::2]
-        diff -= ai_up_j[1::2] - ai[1::2]
-        out[1::2] += diff
+        diff = aj_up_i[:, 1]
+        diff -= aj[:, 1]
+        diff -= ai_up_j[:, 1] - ai[:, 1]
+        out[:, 1] += diff
         out -= mul(aj, ai_up_j, aj_up_i)
     _for_tiles(w.dims, tile)
     a, b = problem.coefficients
     residuals = np.empty_like(wedges)
-
-    def residual_tile(rows, index, group):
-        slots = slice(2 * group.start, 2 * group.stop)
-        _residual_tile(wedges, w, problem.metric, a, b, False, rows, index, slots,
-                       residuals[index][slots])
-    _for_tiles(w.dims, residual_tile)
-    r2, r_at_1 = np.ascontiguousarray(residuals[0::2]), residuals[1::2]
-    r1 = r_at_1 - res.buf
+    _for_tiles(w.dims, lambda rows, index, group: _residual_tile(
+        wedges, w, problem.metric, a, b, False, rows, index, group, residuals[index][group]))
+    r2 = np.ascontiguousarray(residuals[:, 0])
+    r1 = residuals[:, 1] - res.buf
     r1 -= r2
     return r1, r2
 

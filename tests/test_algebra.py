@@ -121,6 +121,11 @@ def test_membership_is_per_matrix_with_relative_tolerance():
     assert not al.is_su2(l1 + off)
     assert al.is_sl2c(1e6 * l1 + off)
     assert al.is_su2(1e6 * l1 + off)
+    # an infinite entry is no member, though it would scale the tolerance to inf
+    infinite = np.array([[0, np.inf], [0, 0]], dtype=complex)
+    assert not al.is_sl2c(infinite)
+    assert not al.is_su2(infinite)
+    assert not al.is_sl2c(np.stack([l1, infinite]))
 
 
 def test_group_membership():

@@ -161,7 +161,9 @@ def test_gen_matrix_must_lie_in_the_algebra(tmp_path, capsys):
     out = tmp_path / "c.field"
     identity = "1,0,0,0,0,0,1,0"
     hermitian = "1,0,0,0,0,0,-1,0"  # traceless, so sl2c but not su2
-    for matrix, algebra in ((identity, "su2"), (identity, "sl2c"), (hermitian, "su2")):
+    infinite = "0,0,inf,0,0,0,0,0"
+    for matrix, algebra in ((identity, "su2"), (identity, "sl2c"), (hermitian, "su2"),
+                            (infinite, "su2")):
         code, _, err = run(capsys, "gen", "--kind", "constant", "--dims", "1,1,1,1",
                            "--matrix", matrix, "--algebra", algebra, "-o", str(out))
         assert code == 2, (matrix, algebra)

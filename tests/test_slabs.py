@@ -163,7 +163,9 @@ def test_shifted_read_rows_are_rows_of_the_full_read(boundary, fill):
     ("periodic", None), ("zero", None), ("zero", np.array([[1.0, 2.0j], [-3.0, 0.5]]))])
 def test_a_stacked_read_is_the_stack_of_its_slot_reads(monkeypatch, boundary, fill):
     # runs of one slot, of consecutive slots and of any slots, each run at one
-    # offset, whole and cut to rows, on axes of four, three, one and two sites;
+    # offset, whole and cut to rows, on axes of four, three, one and two sites,
+    # from slots of 2x2 matrices and from slots that carry one more axis, as
+    # the line search's (4, 2, 2, 2) + dims and (6, 2, 2, 2) + dims arrays do;
     # this periodic window reads by gather, and a cutoff of 0 sends the same
     # reads through the block copies of `_stacked_blocks`
     for gather_sites in (cochain.GATHER_SITES, 0):
@@ -177,25 +179,28 @@ def check_stacked_reads(boundary, fill):
     dims = (4, 3, 1, 2)
     w = Window(dims, boundary)
     rng = np.random.default_rng(5)
-    data = rng.normal(size=(6, 2, 2) + dims) + 1j * rng.normal(size=(6, 2, 2) + dims)
-    for _ in range(60):
-        slots, offsets = [], []
-        while len(slots) < 7:
-            step, first, off = rng.integers(0, 3), rng.integers(0, 6), tuple(rng.integers(-3, 4, size=4))
-            for k in range(rng.integers(1, 4)):
-                slot = first + k * step if step < 2 else rng.integers(0, 6)
-                if slot < 6:
-                    slots.append(int(slot))
-                    offsets.append(off)
-        slots, offsets = tuple(slots), tuple(offsets)  # hashable, for the block cache
-        for rows in (None, (0, 4), (1, 3), (3, 4)):
-            expected = np.stack([shifted_read(data[s], w, o, fill=fill, rows=rows)
-                                 for s, o in zip(slots, offsets)]).tobytes()
-            assert shifted_read(data, w, offsets, fill=fill, rows=rows, slots=slots).tobytes() == expected
-            out = np.full((len(slots),) + data.shape[1:-4] + (4 if rows is None else rows[1] - rows[0],)
-                          + dims[1:], np.nan + 0j)
-            assert shifted_read(data, w, offsets, fill=fill, rows=rows, out=out, slots=slots) is out
-            assert out.tobytes() == expected
+    for carried in ((), (2,)):
+        shape = (6,) + carried + (2, 2) + dims
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for _ in range(60):
+            slots, offsets = [], []
+            while len(slots) < 7:
+                step, first, off = rng.integers(0, 3), rng.integers(0, 6), tuple(rng.integers(-3, 4, size=4))
+                for k in range(rng.integers(1, 4)):
+                    slot = first + k * step if step < 2 else rng.integers(0, 6)
+                    if slot < 6:
+                        slots.append(int(slot))
+                        offsets.append(off)
+            slots, offsets = tuple(slots), tuple(offsets)  # hashable, for the block cache
+            for rows in (None, (0, 4), (1, 3), (3, 4)):
+                expected = np.stack([shifted_read(data[s], w, o, fill=fill, rows=rows)
+                                     for s, o in zip(slots, offsets)]).tobytes()
+                read = shifted_read(data, w, offsets, fill=fill, rows=rows, slots=slots)
+                assert read.tobytes() == expected
+                out = np.full((len(slots),) + shape[1:-4] + (4 if rows is None else rows[1] - rows[0],)
+                              + dims[1:], np.nan + 0j)
+                assert shifted_read(data, w, offsets, fill=fill, rows=rows, out=out, slots=slots) is out
+                assert out.tobytes() == expected
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "zero"])

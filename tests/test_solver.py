@@ -464,8 +464,11 @@ def test_su2_minkowski_objective_is_twice_the_curvature_norm(orientation):
 def test_solve_flattens_except_sl2c_mink(kind, problem):
     # from a small start, su2 (either metric) and sl2c/euclid reach tol by
     # flattening A: R / |F|^2 stays near 2, the value for a random F.  Only
-    # sl2c/mink ends at a non-flat field that is dual to well below |F|^2
-    # (measured 1.98-2.00 and 2.8e-5)
+    # sl2c/mink reaches tol with R well below |F|^2 (measured 1.98-2.00 and
+    # 2.8e-5): along the extra null directions of its Hessian at A = 0, R
+    # falls as |A|^4 and |F|^2 as |A|^2, so R meets tol first.  That is not a
+    # non-flat dual field: |F|^2 falls as tol tightens (2^4: 3.7e-4, 2.6e-8
+    # and 3.5e-11 at tol 1e-8, 1e-12 and 1e-16)
     a0 = random_connection(Window((3, 3, 3, 3), "periodic"), kind, seed=0, scale=1e-2)
     out, report = solve(a0, SolveConfig(problem, tol=1e-8))
     assert report.stop_reason == "converged"
@@ -480,7 +483,9 @@ def test_solve_rejects_values_outside_the_algebra():
     # the coordinates would project them onto the algebra without a word
     w = Window((2, 1, 1, 1), "periodic")
     hermitian = np.diag([1.0, -1.0]).astype(complex)  # in sl2c, not in su2
-    for kind, matrix in (("su2", hermitian), ("sl2c", np.eye(2, dtype=complex))):
+    infinite = np.array([[0, np.inf], [0, 0]], dtype=complex)
+    for kind, matrix in (("su2", hermitian), ("sl2c", np.eye(2, dtype=complex)),
+                         ("su2", infinite)):
         a = constant_connection(w, matrix, algebra_kind=kind)
         with pytest.raises(ValueError, match=f"not in {kind}"):
             solve(a, SolveConfig(EUCLID_SD))
