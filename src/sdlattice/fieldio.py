@@ -3,30 +3,35 @@
 A field file is a single JSON document:
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "rank": 0 | 1 | 2,
       "dims": [N1, N2, N3, N4],
       "boundary": "periodic" | "zero",
       "metric": "euclid" | "mink" | null,
       "algebra": "su2" | "sl2c" | "general",
-      "data": [[re, im], [re, im], ...]
+      "data": "<base64>"
     }
 
-Data entries are float-64 pairs in canonical order: sites row-major over
+Data entries are complex numbers in canonical order: sites row-major over
 (k1, k2, k3, k4), then the component axis (rank 1) or the canonical plane
 order 12, 13, 14, 23, 24, 34 (rank 2), then row-major 2x2 matrix entries.
-Round-trips are bitwise exact, signed zeros included (Python's JSON float
-text is shortest round-trip decimal and writes -0.0 as `-0.0`).  `save`
-builds the whole JSON text in memory before it opens the file, about 4 MB
-for an 8^4 curvature.  Data must be finite numbers: JSON has no NaN or
-Infinity, so `save` refuses such fields.  `load` refuses a format_version
-or rank that is not exactly an int, checks dims and boundary by building
-the `Window`, refuses the labels `save` does, and refuses data unless
-every entry decodes to exactly int or float (numpy would convert "1.5",
-true and null) and is finite.
+In version 2 `data` is one base64 string of their little-endian complex128
+bytes (`<c16`, 16 bytes an entry), so round-trips are bitwise exact, signed
+zeros included, and an 8^4 curvature file is about 2 MB.  `save` writes
+version 2 only and builds the whole document before it opens the file.
+`load` also reads version 1, whose `data` is a list of [re, im] number
+pairs.  Data must be finite, so `save` refuses NaN or Infinity.
+
+`load` refuses a file that is not UTF-8 JSON, a format_version or rank
+that is not exactly an int, checks dims and boundary by building the
+`Window`, and refuses the labels `save` does.  A version-2 payload must be
+strict base64 (no whitespace) of exactly 16 bytes an entry; a version-1
+entry must decode to exactly int or float (numpy would convert "1.5", true
+and null).  Either way every value must be finite.
 """
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 
@@ -35,7 +40,8 @@ import numpy as np
 from .cochain import ALGEBRA_KINDS, ConnectionField, CurvatureField, Field, GaugeField
 from .lattice import METRICS, Window
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ENTRY = np.dtype("<c16")
 
 _RANK_TO_CLASS = {0: GaugeField, 1: ConnectionField, 2: CurvatureField}
 
@@ -61,40 +67,40 @@ def save(field: Field, path) -> None:
     _check_labels(field.metric, field.algebra)
     if not np.all(np.isfinite(field.data)):
         raise FieldFormatError("cannot save non-finite data (NaN or Infinity)")
-    flat = np.ascontiguousarray(field.data).reshape(-1)
-    doc = {
+    payload = base64.b64encode(field.data.astype(_ENTRY, copy=False).tobytes())  # C order
+    head = json.dumps({
         "format_version": FORMAT_VERSION,
         "rank": field.rank,
         "dims": list(field.window.dims),
         "boundary": field.window.boundary,
         "metric": field.metric,
         "algebra": field.algebra,
-        "data": flat.view(np.float64).reshape(-1, 2).tolist(),
-    }
-    # json.dumps runs the C encoder (json.dump streams through the Python
-    # one); encoding before the open leaves no partial file on a failure.
-    # The document holds only fresh lists, so no cycle check is needed.
-    text = json.dumps(doc, check_circular=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    })
+    # base64 needs no JSON escaping, so the payload is spliced in as the last
+    # key (json.dumps would scan all of it, half the time of a save); the
+    # whole document is built before the open, so a failure leaves no file.
+    text = b"".join((head[:-1].encode("utf-8"), b', "data": "', payload, b'"}\n'))
+    with open(path, "wb") as fh:
         fh.write(text)
-        fh.write("\n")
 
 
 def load(path) -> Field:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"not UTF-8 text: {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FieldFormatError(f"not valid JSON: {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FieldFormatError("document root must be a JSON object")
 
     version = _require(doc, "format_version")
-    if type(version) is not int:  # true decodes to a bool, 1.0 to a float
+    if type(version) is not int:  # true decodes to a bool, 2.0 to a float
         raise FieldFormatError(f"format_version must be an integer, got {version!r}")
-    if version != FORMAT_VERSION:
+    if version not in (1, 2):
         raise FieldVersionError(
-            f"format_version {version!r} unsupported (expected {FORMAT_VERSION})"
+            f"format_version {version!r} unsupported (expected 1 or {FORMAT_VERSION})"
         )
     rank = _require(doc, "rank")
     if type(rank) is not int or rank not in _RANK_TO_CLASS:  # true decodes to a bool
@@ -108,11 +114,34 @@ def load(path) -> Field:
     algebra = _require(doc, "algebra")
     _check_labels(metric, algebra)
     raw = _require(doc, "data")
-    if not isinstance(raw, list):
-        raise FieldFormatError("data must be a list of [re, im] pairs")
 
     cls = _RANK_TO_CLASS[rank]
     n_expected = window.n_sites * (cls.slots or 1) * 4
+    values = (_decode_v2 if version == 2 else _decode_v1)(raw, n_expected, dims, rank)
+    if not np.all(np.isfinite(values)):
+        raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
+    shape = window.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
+    return cls(window, values.reshape(shape), algebra=algebra, metric=metric)
+
+
+def _decode_v2(raw, n_expected: int, dims, rank: int) -> np.ndarray:
+    if not isinstance(raw, str):
+        raise FieldFormatError("data must be a base64 string")
+    try:
+        payload = base64.b64decode(raw, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise FieldFormatError(f"data is not valid base64: {exc}") from exc
+    if len(payload) != _ENTRY.itemsize * n_expected:
+        raise FieldShapeError(
+            f"data holds {len(payload)} bytes, which does not match dims {dims} for "
+            f"rank {rank} (expected {_ENTRY.itemsize * n_expected} bytes)"
+        )
+    return np.frombuffer(payload, dtype=_ENTRY)
+
+
+def _decode_v1(raw, n_expected: int, dims, rank: int) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise FieldFormatError("data must be a list of [re, im] pairs")
     if len(raw) != n_expected:
         raise FieldShapeError(
             f"data length {len(raw)} does not match dims {dims} for rank {rank} "
@@ -131,12 +160,8 @@ def load(path) -> Field:
         raise FieldFormatError("data entries must be numbers, not booleans")
     if not kinds <= {int, float}:
         raise FieldFormatError("data entries must be numbers, not strings or null")
-    if not np.all(np.isfinite(pairs)):
-        raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     # A view keeps every bit; re + 1j*im can drop the sign of a zero part.
-    values = pairs.view(complex)
-    shape = window.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
-    return cls(window, values.reshape(shape), algebra=algebra, metric=metric)
+    return pairs.view(complex)
 
 
 def _check_labels(metric, algebra) -> None:
@@ -150,4 +175,3 @@ def _require(doc: dict, key: str):
     if key not in doc:
         raise FieldFormatError(f"missing metadata key {key!r}")
     return doc[key]
-

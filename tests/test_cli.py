@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import base64
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from fieldio_v1 import v1_document
 from sdlattice.cli import main
 from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import random_connection
@@ -315,7 +317,7 @@ def test_undecodable_field_files_exit_2_and_write_nothing(tmp_path, capsys):
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "zero", "--dims", "1,1,1,1", "-o", str(a))
     huge = tmp_path / "huge.field"
-    doc = json.loads(a.read_text())
+    doc = v1_document(load(a))
     doc["data"][0][0] = 10 ** 400
     huge.write_text(json.dumps(doc))
     deep = tmp_path / "deep.field"
@@ -326,6 +328,42 @@ def test_undecodable_field_files_exit_2_and_write_nothing(tmp_path, capsys):
         assert code == 2, path
         assert message in err
         assert not out.exists()
+
+
+def test_malformed_version_2_payloads_exit_2_and_write_nothing(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--scale", "0.01",
+        "-o", str(a))
+    good = json.loads(a.read_text())
+    payload = base64.b64decode(good["data"], validate=True)
+    nan = np.frombuffer(payload, dtype="<f8").copy()
+    nan[3] = float("nan")
+    cases = [
+        (good["data"][:-1], "not valid base64"),
+        (good["data"][:8] + "\n" + good["data"][8:], "not valid base64"),
+        (base64.b64encode(payload[:-1]).decode(), "bytes"),
+        (base64.b64encode(nan.tobytes()).decode(), "finite"),
+        ([[0.0, 0.0]] * 32, "base64 string"),
+    ]
+    for data, message in cases:
+        bad = tmp_path / "bad.field"
+        bad.write_text(json.dumps(dict(good, data=data)))
+        out = tmp_path / "out.field"
+        code, _, err = run(capsys, "curv", str(bad), "-o", str(out))
+        assert code == 2, message
+        assert message in err
+        assert not out.exists()
+
+
+def test_non_utf8_field_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    bad = tmp_path / "utf16.field"
+    bad.write_bytes(b"\xff\xfe" + '{"format_version": 2}'.encode("utf-16-le"))
+    out = tmp_path / "out.field"
+    code, _, err = run(capsys, "curv", str(bad), "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: not UTF-8")
+    assert str(bad) in err
+    assert not out.exists()
 
 
 def test_solve_rejects_connections_outside_their_algebra(tmp_path, capsys):
@@ -373,7 +411,7 @@ def test_non_finite_and_boolean_metadata_files_exit_2(tmp_path, capsys):
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
         "-o", str(a))
-    good = json.loads(a.read_text())
+    good = v1_document(load(a))
     mutations = [("data", 0, [float("nan"), 0.0]), ("data", 1, [0.0, float("inf")]),
                  ("rank", None, True), ("dims", None, [True, 2, 2, 2])]
     for key, index, value in mutations:

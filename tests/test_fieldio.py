@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdlattice.cochain import ConnectionField, CurvatureField
+from fieldio_v1 import v1_document
+from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
 from oracle import random_curvature
 from sdlattice.curvature import curvature, random_connection, random_gauge, zero_connection
 from sdlattice.fieldio import (
@@ -59,9 +63,10 @@ def test_round_trip_all_ranks_bitwise(tmp_path):
         assert back.data.tobytes() == f.data.tobytes()
 
 
-# Golden files on the window (2,1,2,1), written by `sdlat gen --kind random
-# --algebra su2 --seed 7`, then `sdlat curv` and `sdlat star --metric mink`.
-# They are not regenerated here: that would test the kernels' last bits.
+# Golden files on the window (2,1,2,1), written as version 1 by `sdlat gen
+# --kind random --algebra su2 --seed 7`, then `sdlat curv` and `sdlat star
+# --metric mink`; tests/data/v2 holds `save(load(...))` of each.  They are
+# not regenerated here: that would test the kernels' last bits.
 GOLDEN = ("conn_su2.field", "curv_su2.field", "star_mink_su2.field")
 
 
@@ -69,8 +74,54 @@ GOLDEN = ("conn_su2.field", "curv_su2.field", "star_mink_su2.field")
 def test_save_reproduces_golden_bytes(tmp_path, name):
     # load keeps every bit, signed zeros included, so a re-save is identical
     path = tmp_path / name
+    save(load(DATA / "v2" / name), path)
+    assert path.read_bytes() == (DATA / "v2" / name).read_bytes()
     save(load(DATA / name), path)
-    assert path.read_bytes() == (DATA / name).read_bytes()
+    assert path.read_bytes() == (DATA / "v2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_version_1_and_2_goldens_load_to_identical_bytes(name):
+    v1, v2 = load(DATA / name), load(DATA / "v2" / name)
+    assert json.loads((DATA / name).read_text())["format_version"] == 1
+    assert json.loads((DATA / "v2" / name).read_text())["format_version"] == 2
+    assert type(v1) is type(v2)
+    assert (v1.window, v1.metric, v1.algebra) == (v2.window, v2.metric, v2.algebra)
+    assert v1.data.tobytes() == v2.data.tobytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_version_1_writer_reproduces_version_1_goldens(name):
+    # every loaded float prints back as the file's shortest round-trip text,
+    # so the version-1 files load bit for bit
+    assert json.dumps(v1_document(load(DATA / name))) + "\n" == (DATA / name).read_text()
+
+
+# any finite float64 bit pattern, with signed zeros, the smallest and largest
+# subnormals and +-max drawn often
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072009e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(np.isfinite),
+)
+ONE_OF_EACH = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308] * 16
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cls=st.sampled_from([GaugeField, ConnectionField, CurvatureField]),
+       floats=st.lists(FINITE, min_size=96, max_size=96))
+@example(cls=CurvatureField, floats=ONE_OF_EACH)
+def test_round_trip_any_finite_bit_pattern(tmp_path_factory, cls, floats):
+    w = Window((1, 1, 1, 2))
+    shape = w.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
+    values = np.array(floats[:2 * int(np.prod(shape))]).view(complex)
+    f = cls(w, values.reshape(shape), algebra="general")
+    path = tmp_path_factory.mktemp("bits") / "x.field"
+    save(f, path)
+    assert load(path).data.tobytes() == f.data.tobytes()
 
 
 def test_non_contiguous_data_saves_like_its_contiguous_copy(tmp_path):
@@ -104,19 +155,32 @@ def test_file_is_json_with_expected_metadata(tmp_path):
     path = tmp_path / "a.field"
     save(ConnectionField.zeros(w), path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == FORMAT_VERSION
+    assert doc["format_version"] == FORMAT_VERSION == 2
     assert doc["rank"] == 1
     assert doc["dims"] == [2, 2, 2, 2]
     assert doc["boundary"] == "periodic"
     assert doc["algebra"] == "su2"
-    assert len(doc["data"]) == 16 * 4 * 4
+    # 16 bytes of little-endian complex128 an entry
+    assert len(base64.b64decode(doc["data"], validate=True)) == 16 * (16 * 4 * 4)
 
 
-def _doc(tmp_path):
-    w = Window((2, 2, 2, 2))
+def _doc(tmp_path, version=1):
+    # a version-1 document, whose data entries a test can edit one by one, or
+    # the version-2 document that save writes
+    f = random_connection(Window((2, 2, 2, 2)), "su2", seed=3)
+    if version == 1:
+        return v1_document(f)
     path = tmp_path / "base.field"
-    save(random_connection(w, "su2", seed=3), path)
+    save(f, path)
     return json.loads(path.read_text())
+
+
+def _payload(doc) -> bytes:
+    return base64.b64decode(doc["data"], validate=True)
+
+
+def _encoded(payload: bytes) -> str:
+    return base64.b64encode(payload).decode("ascii")
 
 
 def _write(tmp_path, doc):
@@ -126,18 +190,21 @@ def _write(tmp_path, doc):
 
 
 def test_missing_key_names_the_key(tmp_path):
-    for key in ("format_version", "rank", "dims", "boundary", "algebra", "data"):
-        doc = _doc(tmp_path)
-        del doc[key]
-        with pytest.raises(FieldFormatError, match=key):
-            load(_write(tmp_path, doc))
+    for version in (1, 2):
+        for key in ("format_version", "rank", "dims", "boundary", "algebra", "data"):
+            doc = _doc(tmp_path, version)
+            del doc[key]
+            with pytest.raises(FieldFormatError, match=key):
+                load(_write(tmp_path, doc))
 
 
 def test_version_mismatch(tmp_path):
-    doc = _doc(tmp_path)
-    doc["format_version"] = 2
-    with pytest.raises(FieldVersionError):
-        load(_write(tmp_path, doc))
+    for version in (1, 2):
+        for value in (0, 3, 99):
+            doc = _doc(tmp_path, version)
+            doc["format_version"] = value
+            with pytest.raises(FieldVersionError):
+                load(_write(tmp_path, doc))
 
 
 def test_truncated_data_is_a_shape_error(tmp_path):
@@ -145,18 +212,50 @@ def test_truncated_data_is_a_shape_error(tmp_path):
     doc["data"] = doc["data"][:-5]
     with pytest.raises(FieldShapeError):
         load(_write(tmp_path, doc))
+    # one entry, one byte or everything short, and one byte over
+    payload = _payload(_doc(tmp_path, 2))
+    for cut in (payload[:-16], payload[:-1], b"", payload + b"\0"):
+        doc = _doc(tmp_path, 2)
+        doc["data"] = _encoded(cut)
+        with pytest.raises(FieldShapeError, match="bytes"):
+            load(_write(tmp_path, doc))
 
 
 def test_dims_data_disagreement_is_a_shape_error(tmp_path):
-    doc = _doc(tmp_path)
-    doc["dims"] = [2, 2, 2, 3]
-    with pytest.raises(FieldShapeError):
-        load(_write(tmp_path, doc))
+    for version in (1, 2):
+        doc = _doc(tmp_path, version)
+        doc["dims"] = [2, 2, 2, 3]
+        with pytest.raises(FieldShapeError):
+            load(_write(tmp_path, doc))
+
+
+def test_bad_base64_payload_is_a_format_error(tmp_path):
+    text = _doc(tmp_path, 2)["data"]
+    bad = [
+        text[:76] + "\n" + text[76:],  # an embedded newline, as MIME base64 wraps
+        text[:76] + " " + text[76:],
+        text[:-1],  # padding cut
+        text[:-4] + "A=A=",
+        "!" + text[1:],
+        text[:-4] + "AAA\u00e9",  # not ASCII
+        "-_" + text[2:],  # the URL-safe alphabet
+    ]
+    for data in bad:
+        doc = _doc(tmp_path, 2)
+        doc["data"] = data
+        with pytest.raises(FieldFormatError, match="not valid base64"):
+            load(_write(tmp_path, doc))
+    for data in ([[0.0, 0.0]] * 64, 1.0, None, {"0": text}, True):
+        doc = _doc(tmp_path, 2)
+        doc["data"] = data
+        with pytest.raises(FieldFormatError, match="base64 string"):
+            load(_write(tmp_path, doc))
 
 
 def test_bad_metadata_values(tmp_path):
     bad = [
         ("format_version", 1.0),
+        ("format_version", 2.0),
         ("rank", 3),
         ("dims", [2, 2, 2]),
         ("dims", "2,2,2,2"),
@@ -170,20 +269,23 @@ def test_bad_metadata_values(tmp_path):
         ("metric", "lorentz"),
         ("algebra", "so3"),
     ]
-    for key, value in bad:
-        doc = _doc(tmp_path)
-        doc[key] = value
-        with pytest.raises(FieldFormatError, match=key):
-            load(_write(tmp_path, doc))
+    for version in (1, 2):
+        for key, value in bad:
+            doc = _doc(tmp_path, version)
+            doc[key] = value
+            with pytest.raises(FieldFormatError, match=key):
+                load(_write(tmp_path, doc))
 
 
 def test_boolean_metadata_rejected(tmp_path):
     # JSON true decodes to a bool, which Python treats as the integer 1
-    for key, value in (("format_version", True), ("rank", True), ("dims", [True, 2, 2, 2])):
-        doc = _doc(tmp_path)
-        doc[key] = value
-        with pytest.raises(FieldFormatError, match=key):
-            load(_write(tmp_path, doc))
+    for version in (1, 2):
+        for key, value in (("format_version", True), ("rank", True),
+                           ("dims", [True, 2, 2, 2])):
+            doc = _doc(tmp_path, version)
+            doc[key] = value
+            with pytest.raises(FieldFormatError, match=key):
+                load(_write(tmp_path, doc))
 
 
 def test_non_finite_data_rejected(tmp_path):
@@ -192,10 +294,18 @@ def test_non_finite_data_rejected(tmp_path):
         doc["data"][5] = [0.25, value]
         with pytest.raises(FieldFormatError, match="finite"):
             load(_write(tmp_path, doc))
+        # the same entry in a version-2 payload, in either part
+        for part in (0, 1):
+            doc = _doc(tmp_path, 2)
+            entries = np.frombuffer(_payload(doc), dtype="<f8").copy()
+            entries[2 * 5 + part] = value
+            doc["data"] = _encoded(entries.tobytes())
+            with pytest.raises(FieldFormatError, match="finite"):
+                load(_write(tmp_path, doc))
 
 
 def test_save_refuses_non_finite_data(tmp_path):
-    # JSON has no NaN or Infinity: load would refuse what save wrote
+    # load refuses non-finite data, so save refuses to write it
     for value in (float("nan"), float("inf")):
         f = ConnectionField.zeros(Window((1, 1, 1, 1)))
         f.data[0, 0, 0, 0, 2, 1, 0] = value
@@ -270,6 +380,14 @@ def test_quoted_metadata_does_not_hide_or_fake_a_string_entry(tmp_path):
     path.write_text(json.dumps(doc).replace('\\"', "\\u0022"))
     with pytest.raises(FieldFormatError, match="not strings"):
         load(path)
+
+
+def test_non_utf8_file_is_a_format_error_naming_the_path(tmp_path):
+    path = tmp_path / "utf16.field"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_doc(tmp_path, 2)).encode("utf-16-le"))
+    with pytest.raises(FieldFormatError, match="not UTF-8") as info:
+        load(path)
+    assert str(path) in str(info.value)
 
 
 def test_malformed_json_is_a_format_error(tmp_path):
