@@ -2,7 +2,7 @@
 entry by entry and for checking that `load` still reads version 1.
 
 Version 1 stores `data` as a list of [re, im] float pairs in canonical
-order.  `save` writes version 2 only; `json.dumps(v1_document(field))`
+order.  `save` writes version 3 only; `json.dumps(v1_document(field))`
 plus a newline is what it wrote before, byte for byte, so the committed
 version-1 goldens in tests/data are reproduced from their loaded fields.
 """

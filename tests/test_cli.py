@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fieldio_v1 import v1_document
+from fieldio_v2 import v2_document
 from sdlattice.cli import main
 from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import random_connection
@@ -334,7 +335,7 @@ def test_malformed_version_2_payloads_exit_2_and_write_nothing(tmp_path, capsys)
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--scale", "0.01",
         "-o", str(a))
-    good = json.loads(a.read_text())
+    good = v2_document(load(a))
     payload = base64.b64decode(good["data"], validate=True)
     nan = np.frombuffer(payload, dtype="<f8").copy()
     nan[3] = float("nan")
@@ -353,6 +354,58 @@ def test_malformed_version_2_payloads_exit_2_and_write_nothing(tmp_path, capsys)
         assert code == 2, message
         assert message in err
         assert not out.exists()
+
+
+def test_malformed_version_3_files_exit_2_and_write_nothing(tmp_path, capsys):
+    a = tmp_path / "a.field"
+    run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--scale", "0.01",
+        "-o", str(a))
+    head, payload = a.read_bytes().split(b"\n", 1)
+    header = json.loads(head.decode("ascii"))
+    assert header["format_version"] == 3
+    nan = np.frombuffer(payload, dtype="<f8").copy()
+    nan[0] = float("nan")
+    cases = [
+        (header, payload[:-1], "bytes"),
+        (header, payload + b"\0", "bytes"),
+        (header, nan.tobytes(), "finite"),
+        (dict(header, format_version=3.0), payload, "format_version"),
+        (dict(header, format_version=4), payload, "format_version 4 unsupported"),
+        (dict(header, data=""), payload, "'data'"),
+    ]
+    for doc, body, message in cases:
+        bad = tmp_path / "bad.field"
+        bad.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + body)
+        out = tmp_path / "out.field"
+        code, _, err = run(capsys, "curv", str(bad), "-o", str(out))
+        assert code == 2, message
+        assert message in err
+        assert not out.exists()
+    bad.write_bytes(b"\xff" + head + b"\n" + payload)
+    code, _, err = run(capsys, "curv", str(bad), "-o", str(out))
+    assert code == 2
+    assert err.startswith("error: not UTF-8")
+    assert str(bad) in err
+    assert not out.exists()
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # main parses with one parser per process: a usage error between two
+    # calls, and a seed given to the first, leave nothing to the third
+    a, b = tmp_path / "a.field", tmp_path / "b.field"
+    code, _, _ = run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--seed", "5",
+                     "-o", str(a))
+    assert code == 0
+    code, _, err = run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1",
+                       "--seed", "x", "-o", str(b))
+    assert code == 2
+    assert "--seed" in err
+    assert not b.exists()
+    code, _, _ = run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "-o", str(b))
+    assert code == 0
+    w = Window((2, 1, 1, 1))
+    assert load(a).data.tobytes() == random_connection(w, "su2", 5).data.tobytes()
+    assert load(b).data.tobytes() == random_connection(w, "su2", 0).data.tobytes()
 
 
 def test_non_utf8_field_file_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -493,4 +546,5 @@ def test_bad_arguments_exit_2(capsys):
 def test_gen_records_no_metric(tmp_path, capsys):
     p = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "zero", "--dims", "2,2,2,2", "-o", str(p))
-    assert json.loads(p.read_text())["metric"] is None
+    head = p.read_bytes().split(b"\n", 1)[0]
+    assert json.loads(head.decode("ascii"))["metric"] is None
