@@ -67,8 +67,6 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _load(path, rank=None):
     try:
         field = load(path)
-    except FieldIOError as exc:
-        raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if rank is not None and field.rank != rank:

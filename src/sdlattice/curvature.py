@@ -28,26 +28,32 @@ from .cochain import (
 from .lattice import Window
 
 
-def _planes_curvature(conn: ConnectionField, planes, rows=None, out=None, bases=None):
-    """The curvature expression of each plane (i, j) of `planes`, every read
-    offset by its entry of `bases` (default all zero):
+def _planes_curvature(buf, window, planes, rows=None, out=None, bases=None, linear=...):
+    """The curvature expression of each plane (i, j) of `planes` of the
+    connection buffer `buf` (`_plane_stacks`), every read offset by its
+    entry of `bases` (default all zero):
 
         Delta_i A^j - Delta_j A^i + A^i A^j(+e_i) - A^j A^i(+e_j)
 
     Offsets compose on Z^4 before the boundary mode resolves them, matching
     the printed composite subscripts (e.g. A^4 at sigma_34 k + e_3 reads at
     sigma_4 k); a zero base gives the F^{ij} slot of `curvature`.  The
-    result is a sites-last stack (plane, 2, 2) + dims, like slots of
-    `Field.buf`, cut to first indices [lo, hi) by rows=(lo, hi); it goes to
-    `out` or a new array, each term one numpy call over the stack.
+    result is a sites-last stack (plane,) + buf.shape[1:-4] + dims, like
+    slots of `Field.buf`, cut to first indices [lo, hi) by rows=(lo, hi);
+    it goes to `out` or a new array, each term one numpy call over the
+    stack.  The difference terms go to index `linear` of the stack only,
+    so linear=(slice(None), 1) on two connections stacked on axis 1 leaves
+    the first one's product terms alone.
     """
-    ai, aj, ai_up_j, aj_up_i = _plane_stacks(conn.buf, conn.window, planes, rows, bases)
-    # accumulated in place, left to right as printed; t holds each term
-    out = np.subtract(aj_up_i, aj, out)
-    t = ai_up_j - ai
-    out -= t
-    out += algebra.mul(ai, aj_up_i, t)
-    out -= algebra.mul(aj, ai_up_j, t)
+    ai, aj, ai_up_j, aj_up_i = _plane_stacks(buf, window, planes, rows, bases)
+    out = algebra.mul(ai, aj_up_i, out)
+    # aj_up_i is a fresh read: after its product it holds the difference
+    # terms, summed as printed, and then the second product
+    diff = aj_up_i[linear]
+    diff -= aj[linear]
+    diff -= ai_up_j[linear] - ai[linear]
+    out[linear] += diff
+    out -= algebra.mul(aj, ai_up_j, aj_up_i)
     return out
 
 
@@ -81,15 +87,21 @@ def _stack_reads(planes: tuple, bases: tuple) -> tuple:
     return sj + si + si + sj, up_i + up_j + bases + bases
 
 
-def curvature(conn: ConnectionField) -> CurvatureField:
-    """Curvature 2-cochain of a connection, same window and boundary mode,
-    written tile by tile (`cochain._for_tiles`) straight into its plane slots."""
-    # product terms leave su(2)/sl(2,C), so curvature values are general
-    out = CurvatureField.zeros(conn.window, algebra="general")
-    out.metric = conn.metric
-    _for_tiles(conn.window.dims, lambda rows, index, group: _planes_curvature(
-        conn, PLANES[group], rows, out.buf[index][group]))
+def _curvature(buf, window, linear=...):
+    """The curvature stack (6,) + buf.shape[1:] of the connection buffer
+    `buf`, written tile by tile (`cochain._for_tiles`); the difference terms
+    go to index `linear` of each plane slot only (`_planes_curvature`)."""
+    out = np.empty((6,) + buf.shape[1:], dtype=complex)
+    _for_tiles(window.dims, lambda rows, index, group: _planes_curvature(
+        buf, window, PLANES[group], rows, out[index][group], linear=linear))
     return out
+
+
+def curvature(conn: ConnectionField) -> CurvatureField:
+    """Curvature 2-cochain of a connection, same window and boundary mode."""
+    # product terms leave su(2)/sl(2,C), so curvature values are general
+    return CurvatureField._from_buf(conn.window, _curvature(conn.buf, conn.window), "general",
+                                    conn.metric)
 
 
 def pure_gauge(gauge: GaugeField) -> ConnectionField:

@@ -82,22 +82,23 @@ class DualityProblem:
 def residual(field: CurvatureField, problem: DualityProblem) -> CurvatureField:
     """Residual 2-cochain a F + b *F of the duality operator; zero iff F is a solution."""
     a, b = problem.coefficients
-    w = field.window
-    buf = np.empty_like(field.buf)
-    _for_tiles(w.dims, lambda rows, index, group: _residual_tile(
-        field.buf, w, problem.metric, a, b, False, rows, index, group, buf[index][group]))
-    return CurvatureField._from_buf(w, buf, field.algebra, problem.metric)
+    buf = _residual(field.buf, field.window, problem.metric, a, b)
+    return CurvatureField._from_buf(field.window, buf, field.algebra, problem.metric)
 
 
-def _residual_tile(data, window, metric, a, b, transpose, rows, index, group, out):
-    """Tile (rows, group) of a X + b S X, S the star, of the sites-last
-    `data` (or of a X + b S^T X with transpose=True), written to `out`;
-    index is the slab's sites-last index.  `data` is a (6, ...) + dims
-    stack of six-slot fields (`hodge._moved`), group a slice of its first
-    axis.  b S X is scaled in place, so a X is the one temporary, tile-sized."""
-    out = _moved(data, window, metric, transpose, group, rows, out)
-    out *= b
-    out += a * data[index][group]
+def _residual(data, window, metric, a, b, transpose=False):
+    """a X + b S X of the sites-last `data`, S the star (or a X + b S^T X
+    with transpose=True), tile by tile (`cochain._for_tiles`): `data` is one
+    field's (6, 2, 2) + dims, or two on axis 1 of (6, 2, 2, 2) + dims
+    (`hodge._moved`).  b S X is scaled in place, so a X is the one
+    temporary, tile-sized."""
+    out = np.empty_like(data)
+
+    def tile(rows, index, group):
+        moved = _moved(data, window, metric, transpose, group, rows, out[index][group])
+        moved *= b
+        moved += a * data[index][group]
+    _for_tiles(window.dims, tile)
     return out
 
 
@@ -123,9 +124,9 @@ def residual_componentwise(conn: ConnectionField, problem: DualityProblem) -> Cu
     sources = tuple(PLANES[s] for s in slots)
 
     def body(rows, index, group):
-        own = _planes_curvature(conn, PLANES[group], rows, out.buf[index][group])
+        own = _planes_curvature(conn.buf, conn.window, PLANES[group], rows, out.buf[index][group])
         np.multiply(a, own, out=own)
-        other = _planes_curvature(conn, sources[group], rows, bases=offsets[group])
+        other = _planes_curvature(conn.buf, conn.window, sources[group], rows, bases=offsets[group])
         np.multiply(signs[group], other, out=other)
         own += np.multiply(b, other, out=other)
     _for_tiles(conn.window.dims, body)

@@ -133,7 +133,10 @@ def load(path) -> Field:
     if not np.all(np.isfinite(values)):
         raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     shape = window.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
-    return cls(window, values.reshape(shape), algebra=algebra, metric=metric)
+    field = cls(window, values.reshape(shape), algebra=algebra, metric=metric)
+    if not field.buf.flags.writeable:  # one site: the buffer is still a view of the file bytes
+        field.buf = field.buf.copy()
+    return field
 
 
 def _parse(text: bytes, path) -> dict:

@@ -11,8 +11,9 @@ component form (used by `star`),
 
     (*F)^target_k = sign(i, j) * F^{ij}_{sigma_ij k}.
 
-Euclidean signs on sources (12, 13, 14, 23, 24, 34) are (+, -, +, +, -, +);
-Minkowski signs are (-, +, -, +, -, +).  The equivalent basis action is
+Source (i, j) has sign eps(i, j, k, l), (k, l) the target, negated under
+eta = diag(-, +, +, +) (Minkowski) when axis 1 is in it: (+, -, +, +, -, +)
+and (-, +, -, +, -, +) in plane order.  The equivalent basis action is
 ``* eps^k_ij = sign(i, j) * eps^{tau_ij k}_target`` (up-shift instead of the
 down-shift that appears when components are collected at a fixed site).
 The transpose reads each row backwards: slot source of S^T r is sign times
@@ -26,17 +27,17 @@ import numpy as np
 from .cochain import PLANE_INDEX, PLANES, CurvatureField, _for_tiles, shifted_read
 from .lattice import METRICS, Index
 
-# Star sign of each source plane, in PLANES order.
-_SIGNS = {"euclid": (1, -1, 1, 1, -1, 1), "mink": (-1, 1, -1, 1, -1, 1)}
+def _moves(metric):
+    """The rows of `star_moves(metric)`, in `PLANES` order."""
+    for source, plane in enumerate(PLANES):
+        target = tuple(a for a in (1, 2, 3, 4) if a not in plane)
+        order = plane + target  # eps(order) is -1 to the number of its inversions
+        flips = sum(a > b for n, a in enumerate(order) for b in order[n + 1:])
+        flips += metric == "mink" and 1 in plane
+        yield source, PLANE_INDEX[target], (-1) ** flips, tuple(-int(a in plane) for a in (1, 2, 3, 4))
 
-_MOVES = {
-    metric: tuple(
-        (source, PLANE_INDEX[tuple(a for a in (1, 2, 3, 4) if a not in plane)], sign,
-         tuple(-int(a in plane) for a in (1, 2, 3, 4)))
-        for source, (plane, sign) in enumerate(zip(PLANES, signs))
-    )
-    for metric, signs in _SIGNS.items()
-}
+
+_MOVES = {metric: tuple(_moves(metric)) for metric in METRICS}
 
 
 def _stacked(moves, transpose):

@@ -38,8 +38,9 @@ The curvature is quadratic in A, so along a direction d the residual is
 r0 + t r1 + t^2 r2 and R is a quartic in t (Nocedal & Wright, section 3.5
 on exact line searches): the step minimises it, and the gradient at the
 new point takes its interpolated residual instead of a new curvature.
-r1 and r2 come from one tile pass, which writes F(A + d) and the product
-terms d^d of d as one stack, and one residual pass over both.
+r1 and r2 come from one curvature pass over d and A + d held as one
+stack, which leaves out the difference terms of d, and one residual pass
+over both.
 R is summed as one np.vdot(r, r).real of the residual r (a BLAS dot
 product, no field-sized temporaries), in `objective` as in the quartic's
 constant term, so the line search starts from R(A) bitwise.
@@ -64,8 +65,8 @@ from .cochain import (
     _for_tiles,
     shifted_read,
 )
-from .curvature import _plane_stacks, curvature
-from .duality import DualityProblem, _residual_tile, residual
+from .curvature import _curvature, curvature
+from .duality import DualityProblem, _residual, residual
 from .lattice import Window
 
 # (s, y) pairs kept by the L-BFGS two-loop recursion.
@@ -211,15 +212,10 @@ def _gradient_matrices(conn: ConnectionField, problem: DualityProblem, res=None)
     if res is None:
         res = residual(curvature(conn), problem)
     # Adjoint of the residual operator a F + b S F applied to the residual
-    # itself: 2 (conj(a) res + conj(b) S^T res), S^T the star moves read backwards.
+    # itself: 2 (conj(a) res + conj(b) S^T res), S^T the star moves read
+    # backwards; the factor 2 is exact in the coefficients.
     a, b = problem.coefficients
-    g_f = np.empty_like(res.buf)
-
-    def adjoint(rows, index, group):
-        tile = _residual_tile(res.buf, w, problem.metric, a.conjugate(), b.conjugate(), True,
-                              rows, index, group, g_f[index][group])
-        tile *= 2.0
-    _for_tiles(w.dims, adjoint)
+    g_f = _residual(res.buf, w, problem.metric, 2 * a.conjugate(), 2 * b.conjugate(), True)
     grad = np.zeros_like(conn.buf)
 
     def pull_back(rows, index, group):
@@ -354,34 +350,19 @@ def _line_residuals(conn: ConnectionField, step: ConnectionField, res, problem: 
     of the product terms of d alone, d^i d^j(+e_i) - d^j d^i(+e_j) per
     plane, and r1 = r(1) - res.buf - r2, r(1) the residual at A + d.
 
-    One tile pass over both[k] = (d^k, (A + d)^k) writes wedges[p] =
-    (products of d, F(A + d)) per plane p: a tile is one stacked read and one
-    stacked pair of products, to which F(A + d) adds its difference terms.
-    One residual pass over both halves of `wedges` follows.  Every product
-    and sum is elementwise the one `curvature` and `residual` take, so r1 and
-    r2 are bitwise those of two residual evaluations; the line search counts
-    as one evaluation (`SolveReport.evaluations`)."""
+    The curvature pass (`curvature._curvature`) over both[k] = (d^k,
+    (A + d)^k), with the difference terms in the second half only, gives
+    (products of d, F(A + d)) per plane, and one residual pass
+    (`duality._residual`) over both halves follows.  Every product and sum
+    is elementwise the one `curvature` and `residual` take, so r1 and r2 are
+    bitwise those of two residual evaluations; the line search counts as one
+    evaluation (`SolveReport.evaluations`)."""
     w = conn.window
     both = np.empty((4, 2) + step.buf.shape[1:], dtype=complex)
     both[:, 0] = step.buf
     np.add(conn.buf, step.buf, out=both[:, 1])
-    wedges = np.empty((6, 2) + step.buf.shape[1:], dtype=complex)
-
-    def tile(rows, index, group):
-        ai, aj, ai_up_j, aj_up_i = _plane_stacks(both, w, PLANES[group], rows)
-        out = mul(ai, aj_up_i, wedges[index][group])
-        # the difference terms of F(A + d), summed as in `curvature`, in
-        # aj_up_i: a fresh read, free to reuse once in its product
-        diff = aj_up_i[:, 1]
-        diff -= aj[:, 1]
-        diff -= ai_up_j[:, 1] - ai[:, 1]
-        out[:, 1] += diff
-        out -= mul(aj, ai_up_j, aj_up_i)
-    _for_tiles(w.dims, tile)
     a, b = problem.coefficients
-    residuals = np.empty_like(wedges)
-    _for_tiles(w.dims, lambda rows, index, group: _residual_tile(
-        wedges, w, problem.metric, a, b, False, rows, index, group, residuals[index][group]))
+    residuals = _residual(_curvature(both, w, linear=(slice(None), 1)), w, problem.metric, a, b)
     r2 = np.ascontiguousarray(residuals[:, 0])
     r1 = residuals[:, 1] - res.buf
     r1 -= r2

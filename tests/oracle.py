@@ -129,8 +129,8 @@ def check_difference_form_13(conn: ConnectionField, tol: float = 1e-12) -> Relat
         raise ValueError("difference-form check requires a periodic window")
     violation = 0.0
     for plane in PLANES:
-        lhs = _planes_curvature(conn, (plane,))[0]
-        rhs = _planes_curvature(conn, (plane,), bases=((-1, -1, -1, -1),))[0]
+        lhs = _planes_curvature(conn.buf, conn.window, (plane,))[0]
+        rhs = _planes_curvature(conn.buf, conn.window, (plane,), bases=((-1, -1, -1, -1),))[0]
         violation = max(violation, float(np.max(np.abs(lhs - rhs))))
     return RelationReport(holds=violation <= tol, max_violation=violation)
 

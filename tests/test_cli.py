@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sdlattice.curvature import random_connection
 from sdlattice.fieldio import load, save
 from sdlattice.lattice import Window
 
+DATA = Path(__file__).resolve().parent / "data"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -202,6 +204,19 @@ def test_star_writes_output_and_respects_metric(tmp_path, capsys):
                        "-o", str(tmp_path / "sff.field"))
     assert code == 2
     assert "metric" in err
+
+
+@pytest.mark.parametrize("metric", ["euclid", "mink"])
+def test_star_writes_the_golden_bytes(tmp_path, capsys, metric):
+    # the star only moves entries and flips signs, so its output bytes do not
+    # depend on kernel rounding; the curvature golden is read as versions 1-3
+    golden = (DATA / "v3" / f"star_{metric}_su2.field").read_bytes()
+    for version in (".", "v2", "v3"):
+        out = tmp_path / "star.field"
+        code, _, _ = run(capsys, "star", "--metric", metric,
+                         str(DATA / version / "curv_su2.field"), "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == golden, version
 
 
 def test_residual_refuses_a_gauge_field(tmp_path, capsys):

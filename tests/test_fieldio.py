@@ -68,7 +68,8 @@ def test_round_trip_all_ranks_bitwise(tmp_path):
 # --kind random --algebra su2 --seed 7`, then `sdlat curv` and `sdlat star
 # --metric mink`; tests/data/v2 and tests/data/v3 hold the version-2 and
 # version-3 `save(load(...))` of each.  They are not regenerated here: that
-# would test the kernels' last bits.
+# would test the kernels' last bits.  tests/data/v3/star_euclid_su2.field,
+# `sdlat star --metric euclid` of the curvature, exists as version 3 only.
 GOLDEN = ("conn_su2.field", "curv_su2.field", "star_mink_su2.field")
 
 
@@ -79,6 +80,28 @@ def test_save_reproduces_golden_bytes(tmp_path, name):
     for version in ("v3", "v2", "."):
         save(load(DATA / version / name), path)
         assert path.read_bytes() == (DATA / "v3" / name).read_bytes(), version
+
+
+def test_save_reproduces_the_euclidean_star_golden(tmp_path):
+    path = tmp_path / "star.field"
+    save(load(DATA / "v3" / "star_euclid_su2.field"), path)
+    assert path.read_bytes() == (DATA / "v3" / "star_euclid_su2.field").read_bytes()
+
+
+def test_one_site_fields_load_writeable(tmp_path):
+    # on one site the sites-last buffer is the payload as it lies in the file,
+    # which np.frombuffer reads read-only (and, for version 3, unaligned)
+    w = Window((1, 1, 1, 1))
+    for f in (random_gauge(w, "su2", seed=0), random_connection(w, "sl2c", seed=1),
+              random_curvature(w, seed=2)):
+        save(f, tmp_path / "v3.field")
+        (tmp_path / "v2.field").write_text(json.dumps(v2_document(f)) + "\n")
+        for name in ("v3.field", "v2.field"):
+            back = load(tmp_path / name)
+            assert back.buf.flags.writeable and back.buf.flags.aligned, (f.rank, name)
+            assert back.data.tobytes() == f.data.tobytes(), (f.rank, name)
+            back.data[...] *= 2
+            assert back.data.tobytes() == (2 * f.data).tobytes(), (f.rank, name)
 
 
 @pytest.mark.parametrize("name", GOLDEN)

@@ -616,14 +616,17 @@ def test_line_residuals_interpolate_exactly(kind, problem):
 @pytest.mark.parametrize("kind, problem", [("su2", EUCLID_SD),
                                            ("sl2c", DualityProblem("mink", "anti_self_dual"))],
                          ids=["su2-euclid-sd", "sl2c-mink-asd"])
-@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 3, 3, 3),
-                                  (3, 4, 2, 5), (4, 4, 4, 4), (5, 5, 5, 5), (8, 8, 8, 8),
-                                  (3, 16, 16, 8)], ids=str)
-def test_line_residuals_are_bitwise_the_two_residual_formula(kind, problem, dims):
+@pytest.mark.parametrize("dims, boundary", [
+    *(pytest.param(dims, "periodic", id=str(dims))
+      for dims in [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 3, 3, 3), (3, 4, 2, 5),
+                   (4, 4, 4, 4), (5, 5, 5, 5), (8, 8, 8, 8), (3, 16, 16, 8)]),
+    *(pytest.param(dims, "zero", id=f"{dims}-zero")
+      for dims in [(3, 2, 1, 4), (2, 2, 2, 2), (5, 5, 5, 5), (3, 16, 16, 16)])])
+def test_line_residuals_are_bitwise_the_two_residual_formula(kind, problem, dims, boundary):
     # one stacked pass over d and A + d gives the bits of the product pass,
     # the curvature at A + d and two residuals: every product and sum is
-    # elementwise the same
-    w = Window(dims, "periodic")
+    # elementwise the same; zero windows meet the zero-filled stacked read
+    w = Window(dims, boundary)
     a = random_connection(w, kind, seed=12, scale=0.5)
     d = random_connection(w, kind, seed=13, scale=0.5)
     _, r0 = solver._objective_and_residual(a, problem)
