@@ -193,7 +193,9 @@ def verify_triviality_theorem(
     every slot to equal a slot outside the support bound.  The support
     check runs first so that a field with unbounded support (e.g. a
     constant one) is reported as such rather than as a boundary duality
-    violation.
+    violation.  On the zero N^4 window the theorem holds with a constant:
+    |residual(F)| >= 2 sin(pi / (8N - 2)) |F|, the smallest singular value
+    of a F + b *F (chains of length 2N - 1 along the diagonal).
     """
     window = field.window
     if window.boundary != "zero":

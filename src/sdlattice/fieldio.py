@@ -14,28 +14,20 @@ order 12, 13, 14, 23, 24, 34 (rank 2), then row-major 2x2 matrix entries.
 `json.dumps` escapes newlines, so the first newline ends the header even
 when the payload holds 0x0A bytes; nothing follows the payload.
 Round-trips are bitwise exact, signed zeros included, and an 8^4
-curvature file is about 1.57 MB.  `save` writes version 3 only and builds
-the header and the payload before it opens the file.  Data must be
-finite, so `save` refuses NaN or Infinity.
+curvature file is about 1.57 MB.  `save` builds the header and the
+payload before it opens the file.  Data must be finite, so `save` refuses
+NaN or Infinity.
 
-`load` also reads the earlier single-JSON-document formats, with the same
-metadata keys and a `data` key: version 2, whose `data` is one base64
-string of the `<c16` bytes, and version 1, whose `data` is a list of
-[re, im] number pairs.
-
-`load` refuses a file whose header or document is not UTF-8 JSON, a
-format_version or rank that is not exactly an int, checks dims and
-boundary by building the `Window`, and refuses the labels `save` does.  A
-version-3 header must not carry `data`, and its payload must be exactly
-16 bytes an entry; a version-2 payload must be strict base64 (no
-whitespace) of exactly 16 bytes an entry; a version-1 entry must decode to
-exactly int or float (numpy would convert "1.5", true and null).  Either
-way every value must be finite.
+`load` reads version 3 only.  It refuses a header that is not UTF-8 JSON,
+a format_version or rank that is not exactly an int, and versions 1 and 2,
+the single-JSON-document formats that `save` wrote before version 3, with
+a `FieldVersionError` (one spread over several lines is not valid JSON
+on its first line).  It checks dims and boundary by building the
+`Window`, refuses the labels `save` does and a header that carries `data`,
+and needs a payload of exactly 16 bytes an entry, every value finite.
 """
 from __future__ import annotations
 
-import base64
-import itertools
 import json
 
 import numpy as np
@@ -88,25 +80,28 @@ def load(path) -> Field:
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"\n")
-    payload = memoryview(raw)[end + 1:] if end >= 0 else b""  # a view, not a copy
-    doc = None
-    if payload:  # a header line, or the first line of a longer document
-        try:
-            doc = _parse(raw[:end], path)
-        except FieldFormatError:
-            pass
-    version = None if doc is None else doc.get("format_version")
-    if doc is None or type(version) is int and version in (1, 2):
-        # no header line: the file is one JSON document, versions 1 and 2
-        # over one line or several
-        doc, payload = _parse(raw, path), b""
+    if end < 0:  # no newline: the whole file is the header
+        end = len(raw)
+    try:  # decoded explicitly: json.loads(bytes) would also take UTF-16 and UTF-32
+        doc = json.loads(raw[:end].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"not UTF-8 text: {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an int over 4 300 digits, or nested too deep
+        raise FieldFormatError(f"not valid JSON: {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FieldFormatError("document root must be a JSON object")
 
     version = _require(doc, "format_version")
     if type(version) is not int:  # true decodes to a bool, 3.0 to a float
         raise FieldFormatError(f"format_version must be an integer, got {version!r}")
-    if version not in (1, 2, 3):
+    if version in (1, 2):
         raise FieldVersionError(
-            f"format_version {version!r} unsupported (expected 1, 2 or {FORMAT_VERSION})"
+            f"format_version {version} is no longer read: re-save the file with a "
+            f"checkout that still reads it (f405433 or earlier)"
+        )
+    if version != FORMAT_VERSION:
+        raise FieldVersionError(
+            f"format_version {version!r} unsupported (expected {FORMAT_VERSION})"
         )
     rank = _require(doc, "rank")
     if type(rank) is not int or rank not in _RANK_TO_CLASS:  # true decodes to a bool
@@ -119,17 +114,19 @@ def load(path) -> Field:
     metric = doc.get("metric")
     algebra = _require(doc, "algebra")
     _check_labels(metric, algebra)
+    if "data" in doc:
+        raise FieldFormatError("a version-3 header carries no 'data' key: "
+                               "the payload follows the header line")
 
     cls = _RANK_TO_CLASS[rank]
-    n_expected = window.n_sites * (cls.slots or 1) * 4
-    if version == 3:
-        if "data" in doc:
-            raise FieldFormatError("a version-3 header carries no 'data' key: "
-                                   "the payload follows the header line")
-        values = _decode_v3(payload, n_expected, dims, rank)
-    else:
-        data = _require(doc, "data")
-        values = (_decode_v2 if version == 2 else _decode_v1)(data, n_expected, dims, rank)
+    n_bytes = _ENTRY.itemsize * window.n_sites * (cls.slots or 1) * 4
+    payload = memoryview(raw)[end + 1:]  # a view, not a copy
+    if len(payload) != n_bytes:
+        raise FieldShapeError(
+            f"data holds {len(payload)} bytes, which does not match dims {dims} for "
+            f"rank {rank} (expected {n_bytes} bytes)"
+        )
+    values = np.frombuffer(payload, dtype=_ENTRY)
     if not np.all(np.isfinite(values)):
         raise FieldFormatError("data entries must be finite (no NaN or Infinity)")
     shape = window.dims + ((cls.slots, 2, 2) if cls.slots else (2, 2))
@@ -137,63 +134,6 @@ def load(path) -> Field:
     if not field.buf.flags.writeable:  # one site: the buffer is still a view of the file bytes
         field.buf = field.buf.copy()
     return field
-
-
-def _parse(text: bytes, path) -> dict:
-    # decoded explicitly: json.loads(bytes) would also take UTF-16 and UTF-32
-    try:
-        doc = json.loads(text.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FieldFormatError(f"not UTF-8 text: {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise FieldFormatError(f"not valid JSON: {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FieldFormatError("document root must be a JSON object")
-    return doc
-
-
-def _decode_v3(payload, n_expected: int, dims, rank: int) -> np.ndarray:
-    if len(payload) != _ENTRY.itemsize * n_expected:
-        raise FieldShapeError(
-            f"data holds {len(payload)} bytes, which does not match dims {dims} for "
-            f"rank {rank} (expected {_ENTRY.itemsize * n_expected} bytes)"
-        )
-    return np.frombuffer(payload, dtype=_ENTRY)
-
-
-def _decode_v2(raw, n_expected: int, dims, rank: int) -> np.ndarray:
-    if not isinstance(raw, str):
-        raise FieldFormatError("data must be a base64 string")
-    try:
-        payload = base64.b64decode(raw, validate=True)
-    except ValueError as exc:  # binascii.Error, or text that is not ASCII
-        raise FieldFormatError(f"data is not valid base64: {exc}") from exc
-    return _decode_v3(payload, n_expected, dims, rank)
-
-
-def _decode_v1(raw, n_expected: int, dims, rank: int) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise FieldFormatError("data must be a list of [re, im] pairs")
-    if len(raw) != n_expected:
-        raise FieldShapeError(
-            f"data length {len(raw)} does not match dims {dims} for rank {rank} "
-            f"(expected {n_expected} entries)"
-        )
-    try:
-        pairs = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FieldFormatError(f"data entries must be numbers: {exc}") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise FieldFormatError("data entries must be [re, im] pairs")
-    # float() takes "1.5", true and false, and null becomes NaN: only the
-    # exact types int and float are numbers (bool subclasses int)
-    kinds = set(map(type, itertools.chain.from_iterable(raw)))
-    if bool in kinds:
-        raise FieldFormatError("data entries must be numbers, not booleans")
-    if not kinds <= {int, float}:
-        raise FieldFormatError("data entries must be numbers, not strings or null")
-    # A view keeps every bit; re + 1j*im can drop the sign of a zero part.
-    return pairs.view(complex)
 
 
 def _check_labels(metric, algebra) -> None:

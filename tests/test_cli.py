@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import csv
 import json
 from pathlib import Path
@@ -8,8 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldio_v1 import v1_document
-from fieldio_v2 import v2_document
 from sdlattice.cli import main
 from sdlattice.cochain import ConnectionField, CurvatureField, GaugeField
 from sdlattice.curvature import random_connection
@@ -209,14 +206,12 @@ def test_star_writes_output_and_respects_metric(tmp_path, capsys):
 @pytest.mark.parametrize("metric", ["euclid", "mink"])
 def test_star_writes_the_golden_bytes(tmp_path, capsys, metric):
     # the star only moves entries and flips signs, so its output bytes do not
-    # depend on kernel rounding; the curvature golden is read as versions 1-3
-    golden = (DATA / "v3" / f"star_{metric}_su2.field").read_bytes()
-    for version in (".", "v2", "v3"):
-        out = tmp_path / "star.field"
-        code, _, _ = run(capsys, "star", "--metric", metric,
-                         str(DATA / version / "curv_su2.field"), "-o", str(out))
-        assert code == 0
-        assert out.read_bytes() == golden, version
+    # depend on kernel rounding
+    out = tmp_path / "star.field"
+    code, _, _ = run(capsys, "star", "--metric", metric, str(DATA / "v3" / "curv_su2.field"),
+                     "-o", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA / "v3" / f"star_{metric}_su2.field").read_bytes()
 
 
 def test_residual_refuses_a_gauge_field(tmp_path, capsys):
@@ -329,46 +324,27 @@ def test_solve_rejects_zero_boundary_and_general_algebra(tmp_path, capsys):
 
 
 def test_undecodable_field_files_exit_2_and_write_nothing(tmp_path, capsys):
-    # a data entry too large for a float, and nesting too deep to decode
-    a = tmp_path / "a.field"
-    run(capsys, "gen", "--kind", "zero", "--dims", "1,1,1,1", "-o", str(a))
-    huge = tmp_path / "huge.field"
-    doc = v1_document(load(a))
-    doc["data"][0][0] = 10 ** 400
-    huge.write_text(json.dumps(doc))
+    # nesting too deep to decode, and an integer too long to convert
     deep = tmp_path / "deep.field"
     deep.write_text("[" * 200_000)
-    for path, message in ((huge, "data entries must be numbers"), (deep, "not valid JSON")):
+    long = tmp_path / "long.field"
+    long.write_text('{"format_version": ' + "3" * 5000 + "}")
+    for path in (deep, long):
         out = tmp_path / "out.field"
         code, _, err = run(capsys, "curv", str(path), "-o", str(out))
         assert code == 2, path
-        assert message in err
+        assert "not valid JSON" in err
         assert not out.exists()
 
 
-def test_malformed_version_2_payloads_exit_2_and_write_nothing(tmp_path, capsys):
-    a = tmp_path / "a.field"
-    run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--scale", "0.01",
-        "-o", str(a))
-    good = v2_document(load(a))
-    payload = base64.b64decode(good["data"], validate=True)
-    nan = np.frombuffer(payload, dtype="<f8").copy()
-    nan[3] = float("nan")
-    cases = [
-        (good["data"][:-1], "not valid base64"),
-        (good["data"][:8] + "\n" + good["data"][8:], "not valid base64"),
-        (base64.b64encode(payload[:-1]).decode(), "bytes"),
-        (base64.b64encode(nan.tobytes()).decode(), "finite"),
-        ([[0.0, 0.0]] * 32, "base64 string"),
-    ]
-    for data, message in cases:
-        bad = tmp_path / "bad.field"
-        bad.write_text(json.dumps(dict(good, data=data)))
-        out = tmp_path / "out.field"
-        code, _, err = run(capsys, "curv", str(bad), "-o", str(out))
-        assert code == 2, message
-        assert message in err
-        assert not out.exists()
+def test_version_1_and_2_goldens_exit_2_and_write_nothing(tmp_path, capsys):
+    for version, folder in ((1, DATA), (2, DATA / "v2")):
+        for name in ("conn_su2.field", "curv_su2.field", "star_mink_su2.field"):
+            out = tmp_path / "out.field"
+            code, _, err = run(capsys, "curv", str(folder / name), "-o", str(out))
+            assert code == 2, (version, name)
+            assert err.startswith(f"error: format_version {version} is no longer read")
+            assert not out.exists()
 
 
 def test_malformed_version_3_files_exit_2_and_write_nothing(tmp_path, capsys):
@@ -479,25 +455,24 @@ def test_non_finite_and_boolean_metadata_files_exit_2(tmp_path, capsys):
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "random", "--dims", "2,2,2,2", "--scale", "0.01",
         "-o", str(a))
-    good = v1_document(load(a))
-    mutations = [("data", 0, [float("nan"), 0.0]), ("data", 1, [0.0, float("inf")]),
-                 ("rank", None, True), ("dims", None, [True, 2, 2, 2])]
-    for key, index, value in mutations:
-        doc = json.loads(json.dumps(good))
-        if index is None:
-            doc[key] = value
-        else:
-            doc[key][index] = value
+    head, payload = a.read_bytes().split(b"\n", 1)
+    header = json.loads(head.decode("ascii"))
+    nan, inf = (np.frombuffer(payload, dtype="<f8").copy() for _ in range(2))
+    nan[0], inf[3] = float("nan"), float("inf")
+    cases = [(header, nan.tobytes()), (header, inf.tobytes()),
+             (dict(header, rank=True), payload), (dict(header, dims=[True, 2, 2, 2]), payload)]
+    for doc, body in cases:
         bad = tmp_path / "bad.field"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + body)
         code, _, err = run(capsys, "residual", "--metric", "euclid", "--dual", "sd",
                            str(bad))
-        assert code == 2, (key, value)
+        assert code == 2, doc
         assert err.startswith("error: ")
         code, _, err = run(capsys, "solve", "--metric", "euclid", "--dual", "sd",
                            str(bad), "-o", str(tmp_path / "s.field"))
-        assert code == 2, (key, value)
+        assert code == 2, doc
         assert err.startswith("error: ")
+        assert not (tmp_path / "s.field").exists()
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):

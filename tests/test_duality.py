@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from oracle import at, check_difference_form_13, wrap
+from oracle import at, check_difference_form_13, random_curvature, wrap
 from sdlattice.algebra import basis
 from sdlattice.cochain import (
     PLANE_INDEX,
@@ -242,6 +244,68 @@ def test_theorem_window_validation():
     periodic = CurvatureField.zeros(Window((6, 6, 6, 6), "periodic"))
     with pytest.raises(ValueError):
         verify_triviality_theorem(periodic, 3, p)
+
+
+def _impulse_matrix(window: Window, problem: DualityProblem) -> np.ndarray:
+    # F -> a F + b *F acts on every matrix entry alike, so its matrix on
+    # entry (0, 0) of each slot and site is the whole map, once per entry
+    f = CurvatureField.zeros(window)
+    entry = f.buf[:, 0, 0]  # a view, (6,) + dims
+    columns = []
+    for index in np.ndindex(entry.shape):
+        entry[index] = 1.0
+        columns.append(residual(f, problem).buf[:, 0, 0].reshape(-1))
+        entry[index] = 0.0
+    return np.stack(columns, axis=1)
+
+
+def _chain_bound(length: int) -> float:
+    # smallest singular value of a bidiagonal chain with |a| = |b| = 1
+    return 2 * np.sin(np.pi / (2 * (2 * length + 1)))
+
+
+@pytest.mark.parametrize("dims, length", [((1, 1, 1, 1), 1), ((2, 2, 2, 2), 3),
+                                          ((3, 3, 3, 3), 5), ((2, 3, 4, 5), 4),
+                                          ((3, 4, 2, 5), 4)])
+def test_zero_window_residual_has_the_chain_singular_value(dims, length):
+    # on a zero window the diagonal relation splits a F + b *F into chains
+    # along the diagonal; the longest, of length L, gives the smallest
+    # singular value 2 sin(pi / (2 (2L + 1))): on N^4, L = 2N - 1
+    w = Window(dims, "zero")
+    for p in ALL_PROBLEMS:
+        m = _impulse_matrix(w, p)
+        smallest = np.linalg.svd(m, compute_uv=False).min()
+        assert smallest == pytest.approx(_chain_bound(length), rel=1e-12, abs=1e-12), p
+
+
+@pytest.mark.parametrize("dims, length", [((2, 2, 2, 2), 3), ((3, 3, 3, 3), 5),
+                                          ((4, 4, 4, 4), 7), ((3, 4, 2, 5), 4)])
+def test_zero_window_residual_is_bounded_below(dims, length):
+    # |residual(F)|^2 >= 4 sin^2(pi / (2 (2L + 1))) |F|^2: the triviality
+    # theorem with a constant
+    w = Window(dims, "zero")
+    for seed in range(3):
+        fields = (random_curvature(w, seed=seed), curvature(random_connection(w, "sl2c", seed)))
+        for f, p in itertools.product(fields, ALL_PROBLEMS):
+            res = residual(f, p).buf
+            r = np.vdot(res, res).real
+            assert r >= _chain_bound(length) ** 2 * np.vdot(f.buf, f.buf).real, (seed, p)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 2, 5), (2, 2, 2, 2), (4, 4, 4, 4)])
+@pytest.mark.parametrize("kind", ["su2", "sl2c"])
+def test_periodic_residual_is_a_cauchy_schwarz_gap(dims, kind):
+    # on periodic windows |*F| = |F|, so with |a| = |b| = 1,
+    # R = |a F + b *F|^2 = 2 |F|^2 + 2 Re(conj(a) b <F, *F>): F is dual
+    # exactly when Cauchy-Schwarz is tight
+    f = curvature(random_connection(Window(dims, "periodic"), kind, seed=3, scale=0.7))
+    norm2 = np.vdot(f.buf, f.buf).real
+    for p in ALL_PROBLEMS:
+        a, b = p.coefficients
+        res = residual(f, p).buf
+        pairing = np.vdot(f.buf, star(f, p.metric).buf)
+        gap = 2 * norm2 + 2 * (np.conj(a) * b * pairing).real
+        assert np.vdot(res, res).real == pytest.approx(gap, rel=1e-13), p
 
 
 def test_componentwise_metadata():
