@@ -121,8 +121,7 @@ def pure_gauge(gauge: GaugeField) -> ConnectionField:
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(np.abs(det) < 1e-14):
         raise ValueError("singular gauge element (|det| < 1e-14)")
-    # np.linalg.inv wants the matrices last: invert the dims-first view
-    g_inv = np.linalg.inv(gauge.data).transpose(4, 5, 0, 1, 2, 3)
+    g_inv = np.stack([np.stack([g[1, 1], -g[0, 1]]), np.stack([-g[1, 0], g[0, 0]])]) / det
     out = ConnectionField.zeros(w, algebra="general")
     for j in (1, 2, 3, 4):
         g_up = shifted_read(g, w, tuple(int(k == j) for k in (1, 2, 3, 4)), fill=algebra.identity())

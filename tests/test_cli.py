@@ -208,10 +208,10 @@ def test_star_writes_the_golden_bytes(tmp_path, capsys, metric):
     # the star only moves entries and flips signs, so its output bytes do not
     # depend on kernel rounding
     out = tmp_path / "star.field"
-    code, _, _ = run(capsys, "star", "--metric", metric, str(DATA / "v3" / "curv_su2.field"),
+    code, _, _ = run(capsys, "star", "--metric", metric, str(DATA / "v4" / "curv_su2.field"),
                      "-o", str(out))
     assert code == 0
-    assert out.read_bytes() == (DATA / "v3" / f"star_{metric}_su2.field").read_bytes()
+    assert out.read_bytes() == (DATA / "v4" / f"star_{metric}_su2.field").read_bytes()
 
 
 def test_residual_refuses_a_gauge_field(tmp_path, capsys):
@@ -337,8 +337,8 @@ def test_undecodable_field_files_exit_2_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_version_1_and_2_goldens_exit_2_and_write_nothing(tmp_path, capsys):
-    for version, folder in ((1, DATA), (2, DATA / "v2")):
+def test_version_1_2_and_3_goldens_exit_2_and_write_nothing(tmp_path, capsys):
+    for version, folder in ((1, DATA), (2, DATA / "v2"), (3, DATA / "v3")):
         for name in ("conn_su2.field", "curv_su2.field", "star_mink_su2.field"):
             out = tmp_path / "out.field"
             code, _, err = run(capsys, "curv", str(folder / name), "-o", str(out))
@@ -347,21 +347,21 @@ def test_version_1_and_2_goldens_exit_2_and_write_nothing(tmp_path, capsys):
             assert not out.exists()
 
 
-def test_malformed_version_3_files_exit_2_and_write_nothing(tmp_path, capsys):
+def test_malformed_version_4_files_exit_2_and_write_nothing(tmp_path, capsys):
     a = tmp_path / "a.field"
     run(capsys, "gen", "--kind", "random", "--dims", "2,1,1,1", "--scale", "0.01",
         "-o", str(a))
     head, payload = a.read_bytes().split(b"\n", 1)
     header = json.loads(head.decode("ascii"))
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     nan = np.frombuffer(payload, dtype="<f8").copy()
     nan[0] = float("nan")
     cases = [
         (header, payload[:-1], "bytes"),
         (header, payload + b"\0", "bytes"),
         (header, nan.tobytes(), "finite"),
-        (dict(header, format_version=3.0), payload, "format_version"),
-        (dict(header, format_version=4), payload, "format_version 4 unsupported"),
+        (dict(header, format_version=4.0), payload, "format_version"),
+        (dict(header, format_version=5), payload, "format_version 5 unsupported"),
         (dict(header, data=""), payload, "'data'"),
     ]
     for doc, body, message in cases:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,37 +66,52 @@ def test_round_trip_all_ranks_bitwise(tmp_path):
 
 # Golden files on the window (2,1,2,1), written as version 1 by `sdlat gen
 # --kind random --algebra su2 --seed 7`, then `sdlat curv` and `sdlat star
-# --metric mink`; tests/data/v3 holds the version-3 `save(load(...))` of each.
-# They are not regenerated here: that would test the kernels' last bits.
-# tests/data/v3/star_euclid_su2.field, `sdlat star --metric euclid` of the
-# curvature, exists as version 3 only.  The version-1 files in tests/data
-# and their version-2 re-saves in tests/data/v2 stay as bytes that load
-# refuses.
+# --metric mink`; tests/data/v3 holds the version-3 `save(load(...))` of each,
+# and tests/data/v4 the same fields as version 4.  They are not regenerated
+# here: that would test the kernels' last bits.  star_euclid_su2.field,
+# `sdlat star --metric euclid` of the curvature, exists as versions 3 and 4
+# only.  The version-1 files in tests/data and the files in tests/data/v2
+# and tests/data/v3 stay as bytes that load refuses.
 GOLDEN = ("conn_su2.field", "curv_su2.field", "star_mink_su2.field")
+V4_GOLDEN = GOLDEN + ("star_euclid_su2.field",)
 
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_save_reproduces_golden_bytes(tmp_path, name):
     # load keeps every bit, signed zeros included, so a re-save is identical
     path = tmp_path / name
-    save(load(DATA / "v3" / name), path)
-    assert path.read_bytes() == (DATA / "v3" / name).read_bytes()
+    save(load(DATA / "v4" / name), path)
+    assert path.read_bytes() == (DATA / "v4" / name).read_bytes()
 
 
 def test_save_reproduces_the_euclidean_star_golden(tmp_path):
     path = tmp_path / "star.field"
-    save(load(DATA / "v3" / "star_euclid_su2.field"), path)
-    assert path.read_bytes() == (DATA / "v3" / "star_euclid_su2.field").read_bytes()
+    save(load(DATA / "v4" / "star_euclid_su2.field"), path)
+    assert path.read_bytes() == (DATA / "v4" / "star_euclid_su2.field").read_bytes()
+
+
+@pytest.mark.parametrize("name", V4_GOLDEN)
+def test_v4_goldens_hold_the_v3_fields(name):
+    # parsed by hand: the same header but for format_version, and the v3
+    # payload, dims-first, moved sites-last is the v4 payload byte for byte
+    head3, payload3 = (DATA / "v3" / name).read_bytes().split(b"\n", 1)
+    head4, payload4 = (DATA / "v4" / name).read_bytes().split(b"\n", 1)
+    doc3, doc4 = json.loads(head3), json.loads(head4)
+    assert (doc3.pop("format_version"), doc4.pop("format_version")) == (3, 4)
+    assert doc3 == doc4
+    tail = {0: (2, 2), 1: (4, 2, 2), 2: (6, 2, 2)}[doc3["rank"]]
+    data = np.frombuffer(payload3, dtype="<c16").reshape(tuple(doc3["dims"]) + tail)
+    moved = np.moveaxis(data, (0, 1, 2, 3), (-4, -3, -2, -1))
+    assert np.ascontiguousarray(moved).tobytes() == payload4
 
 
 def test_one_site_fields_load_writeable(tmp_path):
-    # on one site the sites-last buffer is the payload as it lies in the file,
-    # which np.frombuffer reads read-only and unaligned
+    # load reads into a fresh buffer on every window, one site included
     w = Window((1, 1, 1, 1))
     for f in (random_gauge(w, "su2", seed=0), random_connection(w, "sl2c", seed=1),
               random_curvature(w, seed=2)):
-        save(f, tmp_path / "v3.field")
-        back = load(tmp_path / "v3.field")
+        save(f, tmp_path / "one.field")
+        back = load(tmp_path / "one.field")
         assert back.buf.flags.writeable and back.buf.flags.aligned, f.rank
         assert back.data.tobytes() == f.data.tobytes(), f.rank
         back.data[...] *= 2
@@ -101,15 +119,19 @@ def test_one_site_fields_load_writeable(tmp_path):
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_version_1_and_2_goldens_are_refused(tmp_path, name):
-    # versions 1 and 2 were one JSON document; load names the version and
-    # the last checkout that reads it, which can re-save the file
-    for version, folder in ((1, DATA), (2, DATA / "v2")):
-        text = (folder / name).read_text()
-        assert json.loads(text)["format_version"] == version
-        with pytest.raises(FieldVersionError, match=f"format_version {version} .*f405433"):
+def test_version_1_2_and_3_goldens_are_refused(tmp_path, name):
+    # load names the version and the last checkout that reads it, which can
+    # re-save the file
+    for version, folder, commit in ((1, DATA, "f405433"), (2, DATA / "v2", "f405433"),
+                                    (3, DATA / "v3", "93c4f3e")):
+        head = (folder / name).read_bytes().split(b"\n", 1)[0]
+        assert json.loads(head)["format_version"] == version
+        with pytest.raises(FieldVersionError, match=f"format_version {version} .*{commit}"):
             load(folder / name)
-        # spread over several lines, the first line is not a JSON document
+    # versions 1 and 2 were one JSON document
+    for folder in (DATA, DATA / "v2"):
+        text = (folder / name).read_text()
+        # spread over several lines, its first line is not a JSON document
         path = tmp_path / "lines.field"
         path.write_text(json.dumps(json.loads(text), indent=1))
         with pytest.raises(FieldFormatError, match="not valid JSON"):
@@ -133,7 +155,7 @@ ONE_OF_EACH = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e3
 
 
 # payloads that start with "\n" and "\r\n": only the first newline of a
-# file ends its version-3 header
+# file ends its header
 NEWLINES = [_bits(0x0A0A0A0A0A0A0A0A)] * 96
 CRLF = [_bits(0x0A0D0A0D0A0D0A0D), _bits(0x3FF000000000000A)] * 48
 
@@ -152,8 +174,8 @@ def test_round_trip_any_finite_bit_pattern(tmp_path_factory, cls, floats):
     path = tmp_path_factory.mktemp("bits") / "x.field"
     save(f, path)
     head, payload = path.read_bytes().split(b"\n", 1)
-    assert json.loads(head.decode("ascii"))["format_version"] == 3
-    assert payload == f.data.astype("<c16").tobytes()
+    assert json.loads(head.decode("ascii"))["format_version"] == 4
+    assert payload == f.buf.astype("<c16").tobytes()
     assert load(path).data.tobytes() == f.data.tobytes()
 
 
@@ -190,25 +212,25 @@ def test_file_is_json_with_expected_metadata(tmp_path):
     save(f, path)
     head, payload = path.read_bytes().split(b"\n", 1)
     doc = json.loads(head.decode("ascii"))
-    assert doc == {"format_version": 3, "rank": 1, "dims": [2, 2, 2, 2],
+    assert doc == {"format_version": 4, "rank": 1, "dims": [2, 2, 2, 2],
                    "boundary": "periodic", "metric": None, "algebra": "su2"}
-    assert FORMAT_VERSION == 3
-    # 16 bytes of little-endian complex128 an entry, in canonical order
+    assert FORMAT_VERSION == 4
+    # 16 bytes of little-endian complex128 an entry: Field.buf in C order
     assert len(payload) == 16 * (16 * 4 * 4)
-    assert payload == np.ascontiguousarray(f.data, dtype="<c16").tobytes()
+    assert payload == np.ascontiguousarray(f.buf, dtype="<c16").tobytes()
 
 
 def _doc():
     # the header that save writes before _payload() (as
     # test_file_is_json_with_expected_metadata checks)
-    return {"format_version": 3, "rank": 1, "dims": [2, 2, 2, 2],
+    return {"format_version": 4, "rank": 1, "dims": [2, 2, 2, 2],
             "boundary": "periodic", "metric": None, "algebra": "su2"}
 
 
 def _payload() -> bytes:
     # the <c16 bytes that save writes after _doc()
     f = random_connection(Window((2, 2, 2, 2)), "su2", seed=3)
-    return np.ascontiguousarray(f.data, dtype="<c16").tobytes()
+    return np.ascontiguousarray(f.buf, dtype="<c16").tobytes()
 
 
 def _write(tmp_path, doc, payload=None):
@@ -228,8 +250,8 @@ def test_missing_key_names_the_key(tmp_path):
 
 
 def test_version_mismatch(tmp_path):
-    # versions 1 and 2 are refused even before a version-3 payload
-    for value in (0, 1, 2, 4, 99):
+    # versions 1, 2 and 3 are refused even before a version-4 payload
+    for value in (0, 1, 2, 3, 5, 99):
         doc = _doc()
         doc["format_version"] = value
         with pytest.raises(FieldVersionError):
@@ -255,6 +277,53 @@ def test_dims_data_disagreement_is_a_shape_error(tmp_path):
     doc["dims"] = [2, 2, 2, 3]
     with pytest.raises(FieldShapeError):
         load(_write(tmp_path, doc))
+    # a 2^4 payload under a header claiming 64^4 sites (1.6 GB): the size is
+    # checked before anything field-sized is allocated
+    path = _write(tmp_path, dict(_doc(), rank=2, dims=[64, 64, 64, 64]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldShapeError, match="bytes"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_reads_a_pipe(tmp_path):
+    # a pipe has no size to check up front; it is read to the header's size
+    # and must then end, here fed in chunks of 1000 bytes by a writer thread;
+    # a header claiming 10^16 sites cannot be allocated
+    f = random_curvature(Window((2, 3, 1, 2)), seed=5)
+    path = tmp_path / "f.field"
+    save(f, path)
+    raw = path.read_bytes()
+    huge = json.dumps(dict(_doc(), rank=2, dims=[10_000] * 4)).encode("ascii") + b"\n"
+    for body, error in ((raw, None), (raw[:-1], FieldShapeError), (raw + b"\0", FieldShapeError),
+                        (huge + _payload(), FieldShapeError)):
+        read_end, write_end = os.pipe()
+
+        def feed(body=body, write_end=write_end):
+            with os.fdopen(write_end, "wb") as out:
+                for start in range(0, len(body), 1000):
+                    out.write(body[start:start + 1000])
+                    out.flush()
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if error is None:
+                back = load(f"/dev/fd/{read_end}")
+                assert type(back) is CurvatureField and back.window == f.window
+                assert back.buf.tobytes() == f.buf.tobytes()
+            else:
+                with pytest.raises(error, match="bytes"):
+                    load(f"/dev/fd/{read_end}")
+        finally:
+            writer.join(timeout=10)
+            os.close(read_end)
+        assert not writer.is_alive()
 
 
 def test_version_3_header_with_a_data_key_is_a_format_error(tmp_path):
@@ -276,6 +345,7 @@ def test_bad_metadata_values(tmp_path):
         ("format_version", 1.0),
         ("format_version", 2.0),
         ("format_version", 3.0),
+        ("format_version", 4.0),
         ("rank", 3),
         ("dims", [2, 2, 2]),
         ("dims", "2,2,2,2"),
@@ -386,7 +456,7 @@ JSON_PUNCTUATION = '{}[]:,"\\ -+.0123456789eEtfnul\n'
 @given(rank=st.sampled_from([0, 1, 2]),
        kind=st.sampled_from(["bytes", "cut", "header", "random"]), data=st.data())
 def test_malformed_files_give_typed_errors(tmp_path_factory, rank, kind, data):
-    # a saved version-3 file with bytes changed, a span cut, header characters
+    # a saved file with bytes changed, a span cut, header characters
     # swapped for JSON punctuation, or random bytes: load returns a field or
     # raises a FieldIOError, never anything else
     w = Window((2, 1, 1, 1))
